@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_config(args) -> RunConfig:
     for name in ("rtol", "atol", "strata_tol", "rank_tol", "switch_tol"):
-        if getattr(args, name) <= 0.0:
-            raise SystemExit(f"--{name.replace('_', '-')} must be positive")
+        if not getattr(args, name) > 0.0:
+            raise ContactKitError(f"--{name.replace('_', '-')} must be positive")
     default_format = {"check": "json", "flow": "csv", "classify": "csv",
                       "freq": "json", "actions": "json"}[args.command]
     return RunConfig(
@@ -138,14 +138,17 @@ def _load_model(cfg: RunConfig):
         return from_config(cfg.config)
     if cfg.model is None:
         raise ContactKitError("one of --model or --config is required")
-    if cfg.model == "canonical":
-        return canonical(cfg.n)
-    omega = cfg.omega or tuple([1.0] * cfg.n)
-    if cfg.model == "primer":
-        profile = cfg.f or "2 + sin(phi%d)" % cfg.n
-        return primer(cfg.n, omega, profile, cfg.k)
-    profile = cfg.f or "sin(phi%d)" % cfg.n
-    model = primer2(cfg.n, omega, profile)
+    try:
+        if cfg.model == "canonical":
+            return canonical(cfg.n)
+        omega = cfg.omega or tuple([1.0] * cfg.n)
+        if cfg.model == "primer":
+            profile = cfg.f or "2 + sin(phi%d)" % cfg.n
+            return primer(cfg.n, omega, profile, cfg.k)
+        profile = cfg.f or "sin(phi%d)" % cfg.n
+        model = primer2(cfg.n, omega, profile)
+    except ValueError as exc:
+        raise ContactKitError(f"--model {cfg.model}: {exc}") from exc
     return model.reduced if cfg.reduced else model
 
 
@@ -340,8 +343,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _run_config(args)
     try:
+        cfg = _run_config(args)
         return _COMMANDS[cfg.command](cfg)
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

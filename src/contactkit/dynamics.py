@@ -1,11 +1,15 @@
 """Flow integration across charts, invariance monitors, and torus diagnostics.
 
 The integrator is an explicit Dormand-Prince 5(4) embedded pair with the
-usual proportional step controller.  Requested sample times are filled by
-cubic Hermite interpolation on the accepted steps (both endpoint slopes
-are available for free through the FSAL stage).  The controller caps the
-step so no periodic coordinate advances more than half a turn per step,
-which keeps sampled angle sequences unwrappable.
+usual proportional step controller.  Steps are chosen by the tolerance and
+not by the sample grid: a requested sample inside an accepted step is
+filled from the free 4th-order continuous extension of the pair (Dormand &
+Prince 1980, with Shampine's 1986 coefficients; Hairer, Norsett & Wanner,
+Solving ODEs I, II.6).  Where that extension cannot be trusted to the
+tolerance the integrator lands a step on the sample instead, so the sample
+is an integration node.  The controller caps the step so no periodic
+coordinate advances more than half a turn per step, which keeps sampled
+angle sequences unwrappable.
 
 Chart changes happen when the current point drifts within a relative
 margin of a bounded domain wall, or when the chart's declining
@@ -16,6 +20,7 @@ event on the trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -43,6 +48,26 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _ERR = _B5 - _B4
+# continuous extension y0 + h * sum_i b_i(theta) k_i with
+# b(theta) = _P @ (theta, theta^2, theta^3, theta^4); b(1) = _B5
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+# interpolant error estimate: continuous extension minus the cubic Hermite
+# through both step ends (slopes k_0 and the FSAL stage k_6), at mid-step
+_MID = _P @ np.array([1 / 2, 1 / 4, 1 / 8, 1 / 16]) - _B5 / 2 \
+    - np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]) / 8
 
 _MAX_ANGLE_PER_STEP = 0.5 * np.pi
 
@@ -159,23 +184,18 @@ def _near_boundary(chart: Chart, x: np.ndarray, margin: float) -> bool:
     return False
 
 
-class _Hermite:
-    """Cubic interpolant through one accepted step, slopes at both ends."""
+def _interp_error(h: float, k: np.ndarray, tol_vec: np.ndarray) -> float:
+    """Tolerance-scaled mid-step gap between the continuous extension and
+    the cubic Hermite of one step, a conservative estimate of the
+    extension's error."""
+    mid = (_MID @ k) / tol_vec
+    return h * math.sqrt(mid @ mid / mid.size)
 
-    def __init__(self, t0, h, y0, y1, f0, f1):
-        self.t0 = t0
-        self.h = h
-        self.y0 = y0
-        self.y1 = y1
-        self.f0 = f0
-        self.f1 = f1
 
-    def __call__(self, t: float) -> np.ndarray:
-        s = (t - self.t0) / self.h
-        s2 = s * s
-        s3 = s2 * s
-        return ((1 - 3 * s2 + 2 * s3) * self.y0 + (3 * s2 - 2 * s3) * self.y1
-                + self.h * ((s - 2 * s2 + s3) * self.f0 + (s3 - s2) * self.f1))
+def _dense(y0: np.ndarray, h: float, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """States of the continuous extension at step fractions ``theta``."""
+    powers = np.power.outer(theta, np.arange(1, 5))
+    return y0 + h * ((powers @ _P.T) @ k)
 
 
 def flow(model, h, x0: Point, t_final: float,
@@ -184,7 +204,13 @@ def flow(model, h, x0: Point, t_final: float,
          boundary_margin: float = 0.05, max_steps: int = 1_000_000) -> Trajectory:
     """Integrate the contact field of ``h`` from ``x0`` for ``t_final`` time
     units (negative runs backwards), sampling ``n_samples`` evenly spaced
-    states."""
+    states.
+
+    The first and last samples, and every sample a step is landed on, are
+    integration nodes.  Any other sample is the continuous extension of the
+    step that covers it; a step covers samples without landing only while
+    the extension's mid-step error estimate stays within ``rtol``/``atol``.
+    """
     atlas: Atlas = getattr(model, "atlas", model)
     section = _resolve_hamiltonian(model, atlas, h)
     evaluators: dict[str, ChartField] = {}
@@ -209,7 +235,7 @@ def flow(model, h, x0: Point, t_final: float,
     next_sample = 1
 
     def try_switch(require: bool) -> bool:
-        nonlocal chart, y, k1
+        nonlocal chart, y, k1, last
         wrapped = chart.wrap(y)
         current = -np.inf if require else _chart_health(chart, wrapped)
         best_score = current
@@ -234,12 +260,17 @@ def flow(model, h, x0: Point, t_final: float,
         switches.append(ChartSwitch(t, chart.id, best[0].id))
         chart, y = best[0], best[1]
         k1 = rhs(chart, y)
+        last = None
         return True
 
     k1 = rhs(chart, y)
     scale0 = float(np.linalg.norm(y)) + 1.0
     speed0 = float(np.linalg.norm(k1))
     h_abs = min(abs(t_final), 1e-2 * scale0 / (speed0 + 1e-8), 1.0)
+    # (h, k, tol_vec) of the last accepted step, for the interpolant error
+    # estimate; with none yet, after a chart change or a redo, samples are
+    # landed on
+    last = None
 
     for _ in range(max_steps):
         if direction * (t - t_final) >= 0.0:
@@ -251,18 +282,22 @@ def flow(model, h, x0: Point, t_final: float,
             h_abs = min(h_abs, _MAX_ANGLE_PER_STEP / top_speed)
         if h_abs < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(t)
-        # land exactly on the next requested sample, then on the final time;
-        # sampled states are integration nodes, never interpolants
+        # land exactly on the final time, and on the next requested sample
+        # when the continuous extension is not predicted to meet the
+        # tolerance there (the estimate scales with h^4)
         h_try = h_abs
         t_target = None
+        landed = False
         if h_try >= remaining / 1.05:
             h_try = remaining
             t_target = t_final
         if next_sample < len(sample_times):
             to_next = abs(sample_times[next_sample] - t)
-            if h_try >= to_next > 0.0:
+            if h_try >= to_next > 0.0 and \
+                    (last is None or _interp_error(*last) * (h_try / last[0]) ** 4 > 1.0):
                 h_try = to_next
                 t_target = float(sample_times[next_sample])
+                landed = True
         h_step = direction * h_try
 
         k = np.empty((7, y.shape[0]))
@@ -294,14 +329,30 @@ def flow(model, h, x0: Point, t_final: float,
                 raise LeftAtlas(t, chart.id)
             continue
 
-        interp = _Hermite(t, h_step, y, y1, k[0], k[6])
         t_new = t_target if t_target is not None else t + h_step
-        while next_sample < len(sample_times) and \
-                direction * (sample_times[next_sample] - t_new) <= 1e-12 * max(1.0, abs(t_new)):
-            points.append(chart.point(interp(sample_times[next_sample])))
-            next_sample += 1
+        stop = next_sample
+        while stop < len(sample_times) and \
+                direction * (sample_times[stop] - t_new) <= 1e-12 * max(1.0, abs(t_new)):
+            stop += 1
+        if stop > next_sample:
+            covered = sample_times[next_sample:stop]
+            if landed:
+                points.extend(chart.point(y1) for _ in covered)
+            else:
+                if np.any(covered != t_new) and _interp_error(h_try, k, tol_vec) > 1.0:
+                    # the extension would miss the tolerance at a sample:
+                    # redo the step landed
+                    stats.rejected += 1
+                    last = None
+                    continue
+                # samples at the node keep the node; the rest are interpolants
+                states = _dense(y, h_step, k, (covered - t) / h_step)
+                states[covered == t_new] = y1
+                points.extend(chart.point(x) for x in states)
+            next_sample = stop
 
         stats.accepted += 1
+        last = (h_try, k, tol_vec)
         stats.min_step = min(stats.min_step, h_try)
         stats.max_step = max(stats.max_step, h_try)
         t = t_new
@@ -365,23 +416,42 @@ def frequencies(traj: Trajectory, angle_indices: Sequence[int],
                 atlas: Atlas | None = None) -> FrequencyFit:
     """Winding rates of the designated periodic coordinates.
 
-    Each angle series is unwrapped (sample-to-sample change must stay
-    under half a turn) and fitted with a least-squares line; the residual
-    is the largest deviation of the unwrapped series from that line.
+    ``angle_indices`` are positions in the chart of the first sample.  With
+    an ``atlas`` each angle is followed by name across chart switches, and a
+    chart along the trajectory that lacks the name is an error; without one
+    the trajectory must stay on one chart.  Each angle series is unwrapped
+    (sample-to-sample change must stay under half a turn) and fitted with a
+    least-squares line; the residual is the largest deviation of the
+    unwrapped series from that line.
     """
     if len(traj.points) < 10:
         raise InsufficientSamples(len(traj.points), 10)
+    chart_ids = {p.chart for p in traj.points}
     if atlas is not None:
         first = atlas.chart_of(traj.points[0])
+        names = [first.names[j] for j in angle_indices]
         for j in angle_indices:
             if not first.periodic[j]:
                 raise ValueError(f"coordinate {first.names[j]!r} is not periodic")
+        positions = {}
+        for cid in chart_ids:
+            chart = atlas.chart(cid)
+            missing = [name for name in names if name not in chart.names]
+            if missing:
+                raise ValueError(f"chart {cid!r} along the trajectory has no "
+                                 f"coordinate {missing[0]!r}")
+            positions[cid] = [chart.index_of(name) for name in names]
+    elif len(chart_ids) > 1:
+        raise ValueError("the trajectory changes chart; pass the atlas to follow "
+                         "angles by name")
+    else:
+        positions = {chart_ids.pop(): list(angle_indices)}
     t = np.asarray(traj.times, dtype=float)
     design = np.vstack([t, np.ones_like(t)]).T
     omegas = np.empty(len(angle_indices))
     residuals = np.empty(len(angle_indices))
-    for col, j in enumerate(angle_indices):
-        series = np.unwrap(traj.coordinate_series(j))
+    for col in range(len(angle_indices)):
+        series = np.unwrap([p.coords[positions[p.chart][col]] for p in traj.points])
         coeffs, *_ = np.linalg.lstsq(design, series, rcond=None)
         omegas[col] = coeffs[0]
         residuals[col] = float(np.max(np.abs(series - design @ coeffs)))

@@ -98,7 +98,9 @@ class Chart:
         x = np.array(coords, dtype=float)
         for i, per in enumerate(self.periodic):
             if per:
-                x[i] = x[i] % TWO_PI
+                r = x[i] % TWO_PI
+                # a tiny negative angle rounds up to exactly 2 pi
+                x[i] = 0.0 if r == TWO_PI else r
         return x
 
     def contains(self, coords) -> bool:

@@ -74,6 +74,20 @@ def test_flow_requires_start_point():
     assert main(["flow", *PRIMER_ARGS]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    ["--rtol", "0"],
+    ["--k", "7"],
+    ["--omega", "1"],
+])
+def test_bad_usage_exits_2_with_one_line(bad, capsys, tmp_path):
+    args = ["--model", "primer", "--n", "2", "--chart", "V0",
+            "--x0", "0,0,1,0.7,-1.3", "--t-final", "1", "--samples", "3"]
+    assert main(["flow", *args, *bad, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_flow_integrator_failure_exits_3(tmp_path):
     config = tmp_path / "box.yaml"
     config.write_text(textwrap.dedent("""

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from contactkit import expr
 from contactkit.bundle import Atlas, Section, momentum, section_ratio
-from contactkit.dynamics import (Cycle, InsufficientSamples, LeftAtlas,
-                                 NotClosed, StepSizeUnderflow,
-                                 coordinate_circle, drift, flow, frequencies,
-                                 loop_integral)
+from contactkit.dynamics import (ControllerStats, Cycle, InsufficientSamples,
+                                 LeftAtlas, NotClosed, StepSizeUnderflow,
+                                 Trajectory, coordinate_circle, drift, flow,
+                                 frequencies, loop_integral)
 from contactkit.expr import parse
-from contactkit.geometry import Chart
-from contactkit.models import Model, canonical, primer, primer2
+from contactkit.geometry import Chart, Point
+from contactkit.models import Model, canonical, from_config, primer, primer2
 from helpers import canonical_chart, normal_form_chart
 
 OMEGA = (1.0, np.sqrt(2.0))
@@ -63,6 +64,57 @@ def test_reduced_dissipative_equations(pm2):
         assert p.coords[2] == pytest.approx(phi2, abs=1e-8)
         assert p.coords[3] == pytest.approx(0.8 * scale, rel=1e-7)
         assert p.coords[4] == pytest.approx(-0.5 * scale, rel=1e-7)
+
+
+def _arc(a, b):
+    return (np.asarray(a) - np.asarray(b) + np.pi) % (2 * np.pi) - np.pi
+
+
+def test_linear_winding_against_dop853(pm):
+    # 2001 samples over 100 time units: most samples fall inside steps and
+    # come from the continuous extension
+    chart = pm.atlas.chart("V0")
+    y0 = np.array([0.2, 0.4, 1.0, 0.7, -1.3])
+    traj = flow(pm, None, chart.point(y0), 100.0, rtol=1e-10, atol=1e-10,
+                n_samples=2001)
+    ref = solve_ivp(lambda t, y: [OMEGA[0], OMEGA[1], 0.0, 0.0, 0.0],
+                    (0.0, 100.0), y0, method="DOP853", rtol=1e-13, atol=1e-13,
+                    t_eval=traj.times).y.T
+    got = np.array([p.coords for p in traj.points])
+    assert np.max(np.abs(_arc(got[:, :2], ref[:, :2]))) < 1e-9
+    assert np.max(np.abs(got[:, 2:] - ref[:, 2:])) < 1e-12
+
+
+@pytest.mark.parametrize("n_samples, rtol, atol", [
+    (61, 1e-11, 1e-12),   # landed on every sample
+    (601, 1e-9, 1e-9),    # hundreds of interpolated samples
+])
+def test_dissipative_flow_against_dop853(pm2, n_samples, rtol, atol):
+    red = pm2.reduced
+    chart = red.atlas.chart("N")
+    y0 = np.array([0.0, 0.0, 1.0, 0.8, -0.5])
+
+    def equations(t, y):
+        return [OMEGA[0], OMEGA[1], np.sin(y[2]),
+                np.cos(y[2]) * y[3], np.cos(y[2]) * y[4]]
+
+    traj = flow(red, None, chart.point(y0), 6.0, rtol=rtol, atol=atol,
+                n_samples=n_samples)
+    ref = solve_ivp(equations, (0.0, 6.0), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-13, t_eval=traj.times).y.T
+    got = np.array([p.coords for p in traj.points])
+    assert np.max(np.abs(_arc(got[:, :2], ref[:, :2]))) < 1e-8
+    assert np.max(np.abs(got[:, 2] - ref[:, 2])) < 1e-8
+    assert np.max(np.abs(got[:, 3:] / ref[:, 3:] - 1.0)) < 1e-7
+
+
+def test_sample_grid_does_not_set_the_step(pm):
+    chart = pm.atlas.chart("V0")
+    x0 = chart.point(np.array([0.0, 0.0, 1.0, 0.7, -1.3]))
+    traj = flow(pm, None, x0, 100.0, rtol=1e-10, atol=1e-10, n_samples=2001)
+    assert len(traj.points) == 2001
+    assert traj.stats.accepted <= 100
+    assert traj.stats.rhs_evaluations <= 600
 
 
 def test_integrator_against_harmonic_oracle():
@@ -210,6 +262,50 @@ def test_frequencies_nonlinear_phase(pm2):
     fit = frequencies(traj, [2], red.atlas)
     assert fit.omegas[0] > 0.5
     assert fit.residuals[0] > 1e-3
+
+
+def test_frequencies_follow_names_across_reordered_chart():
+    # the chart-switch atlas with V1's angles stored as (phi1, phi0): phi1
+    # winds at 0.1 and phi0 = phi0(0) + 10 sin(0.1 t)
+    def chart(cid, coords, alpha, ratio):
+        return {"id": cid, "coordinates": coords, "periodic": ["phi0", "phi1"],
+                "alpha": alpha, "domain": {ratio: [-1e6, 1e6]},
+                "denominator": f"1/sqrt(1 + {ratio}^2)"}
+
+    model = from_config({
+        "name": "reordered",
+        "charts": [chart("V0", ["phi0", "phi1", "J1"], ["1", "J1", "0"], "J1"),
+                   chart("V1", ["phi1", "phi0", "J0"], ["1", "J0", "0"], "J0")],
+        "overlaps": [
+            {"from": "V0", "to": "V1", "map": ["phi1", "phi0", "1/J1"], "factor": "J1"},
+            {"from": "V1", "to": "V0", "map": ["phi0", "phi1", "1/J0"], "factor": "J0"}],
+        "sections": [{"name": "h", "local": {"V0": "sin(phi1) + 0.1*J1",
+                                             "V1": "sin(phi1)*J0 + 0.1"}}],
+        "r": 0, "hamiltonian": "h"})
+    x0 = model.atlas.chart("V0").point(np.array([0.3, 0.5 * np.pi, 0.11]))
+    traj = flow(model, None, x0, 20.0, switch_tol=0.3, n_samples=201)
+    assert [s.dst for s in traj.switches] == ["V1"]
+    fit = frequencies(traj, [0, 1], model.atlas)
+    t = traj.times
+    slope = np.polyfit(t, 0.3 + 10.0 * np.sin(0.1 * t), 1)[0]
+    assert fit.omegas == pytest.approx([slope, 0.1], abs=1e-6)
+
+
+def test_frequencies_reject_chart_without_the_name():
+    def chart(cid, angle):
+        return Chart(cid, (angle, "q1", "p1"),
+                     (expr.literal(1.0), expr.coordinate("p1"), expr.literal(0.0)),
+                     (True, False, False),
+                     ((0.0, 2 * np.pi), (-np.inf, np.inf), (-np.inf, np.inf)))
+
+    atlas = Atlas([chart("A", "phi"), chart("B", "psi")])
+    points = [Point("A" if i < 6 else "B", np.array([0.1 * i, 0.0, 1.0]))
+              for i in range(12)]
+    traj = Trajectory(np.linspace(0.0, 1.0, 12), points, [], ControllerStats())
+    with pytest.raises(ValueError, match="'B'.*'phi'"):
+        frequencies(traj, [0], atlas)
+    with pytest.raises(ValueError, match="changes chart"):
+        frequencies(traj, [0])
 
 
 def test_frequencies_need_samples(pm):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from contactkit import expr
 from contactkit.geometry import (Chart, NotInZ0, OutOfDomain, alpha_at,
@@ -218,6 +219,17 @@ def test_point_normalizes_periodic(primer_model):
     point = chart.point(np.array([2 * np.pi + 0.25, -0.5, 1.0, 0.3, 0.4]))
     assert point.coords[0] == pytest.approx(0.25)
     assert point.coords[1] == pytest.approx(2 * np.pi - 0.5)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-17)
+@example(-2 * np.pi)
+@example(2 * np.pi)
+def test_wrap_lands_in_half_open_turn(angle):
+    chart = normal_form_chart()
+    wrapped = chart.wrap(np.array([angle, -angle, angle, 0.0, 0.0]))
+    assert np.all((0.0 <= wrapped[:2]) & (wrapped[:2] < 2 * np.pi))
+    assert wrapped[2] == angle
 
 
 def test_point_outside_domain():
