@@ -25,7 +25,7 @@ import numpy as np
 from . import numkernel
 from .errors import ContactKitError
 from .expr import DomainError, Expression, divide, linear_combination
-from .geometry import Chart, ChartField, Point, TangentVector, frame_at
+from .geometry import Chart, ChartField, Point, TangentVector, alpha_components, frame_at
 from .jacobi import _field_components, bracket
 
 
@@ -230,9 +230,8 @@ class AtlasReport:
 
 
 def _pullback_form(atlas: Atlas, src: str, dst: str, x) -> np.ndarray:
-    dst_chart = atlas.charts[dst]
     y = atlas.map_coords(src, dst, x)
-    b = np.array([a.eval(dst_chart.bindings(y)) for a in dst_chart.alpha])
+    b = alpha_components(atlas.charts[dst], y)
     jac = atlas.transition_jacobian(src, dst, x)
     return jac.T @ b
 
@@ -264,7 +263,7 @@ def validate_atlas(atlas: Atlas,
             rt = float(np.max(np.abs(src_chart.shortest_arc_delta(back, x))))
             if rt > worst_rt:
                 worst_rt, where_rt = rt, x
-            a = np.array([c.eval(src_chart.bindings(x)) for c in src_chart.alpha])
+            a = alpha_components(src_chart, x)
             g = ov.factor.eval(src_chart.bindings(x))
             form = float(np.max(np.abs(a - g * _pullback_form(atlas, src, dst, x))))
             if form > worst_form:
@@ -447,8 +446,7 @@ def classify(atlas: Atlas, sections: Sequence[Section], r: int, point: Point,
         raise ValueError(f"commuting index bound r={r} outside 0..{len(sections) - 1}")
     chart = atlas.chart_of(point)
     fr = frame_at(chart, point.coords)
-    env = chart.bindings(point.coords)
-    values = np.array([s.on(chart.id).eval(env) for s in sections])
+    values = _section_values(atlas, sections, point)
     scale = 1.0 + float(np.abs(values).max())
     vectors = np.array([_field_components(fr, ChartField(chart, s.on(chart.id)))
                         for s in sections])

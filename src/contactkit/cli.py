@@ -25,6 +25,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_INTEGRATOR = 3
+MAX_GRID_POINTS = 10**6  # largest classify --grid sweep
 
 
 def _fmt(x: float) -> str:
@@ -120,6 +121,9 @@ def _run_config(args) -> RunConfig:
     for name in ("rtol", "atol", "strata_tol", "rank_tol", "switch_tol"):
         if not getattr(args, name) > 0.0:
             raise ContactKitError(f"--{name.replace('_', '-')} must be positive")
+    for name, least in (("samples", 0), ("grid", 0), ("subdivisions", 1)):
+        if getattr(args, name) < least:
+            raise ContactKitError(f"--{name} must be at least {least}")
     default_format = {"check": "json", "flow": "csv", "classify": "csv",
                       "freq": "json", "actions": "json"}[args.command]
     return RunConfig(
@@ -247,6 +251,8 @@ def _sweep_points(cfg: RunConfig, model):
     chart = model.atlas.chart(cfg.chart or model.atlas.chart_ids[0])
     box = chart.effective_sample_box()
     if cfg.grid > 0:
+        if cfg.grid ** chart.dim > MAX_GRID_POINTS:
+            raise ContactKitError(f"--grid {cfg.grid}^{chart.dim} exceeds {MAX_GRID_POINTS} points")
         axes = []
         for (lo, hi), per in zip(box, chart.periodic):
             if per:
@@ -320,9 +326,7 @@ def cmd_actions(cfg: RunConfig) -> int:
     x0 = _start_point(cfg, model)
     chart = model.atlas.chart(x0.chart)
     actions = {}
-    for i, per in enumerate(chart.periodic):
-        if not per:
-            continue
+    for i in model.angle_indices(x0.chart):
         result = loop_integral(chart, coordinate_circle(chart, i, x0.coords),
                                subdivisions=cfg.subdivisions)
         actions[chart.names[i]] = {"value": result.value,

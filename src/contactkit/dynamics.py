@@ -29,7 +29,7 @@ import numpy as np
 from .bundle import Atlas, OutOfAtlas, Section
 from .errors import ContactKitError
 from .expr import DomainError, Expression, parse
-from .geometry import Chart, ChartField, OutOfDomain, Point, TWO_PI, frame_at
+from .geometry import Chart, ChartField, OutOfDomain, Point, TWO_PI, alpha_components, frame_at
 from .jacobi import _field_components
 from .numkernel import SingularSystem
 
@@ -153,35 +153,23 @@ def _resolve_hamiltonian(model, atlas: Atlas, h) -> Section:
     raise TypeError(f"cannot interpret {h!r} as a Hamiltonian")
 
 
+def _boundary_gap(chart: Chart, x: np.ndarray) -> float:
+    """Distance to the nearest finite bound, as a fraction of its axis width."""
+    gap = np.inf
+    for i, per in enumerate(chart.periodic):
+        lo, hi = chart.bounds[i]
+        if not per and np.isfinite(lo) and np.isfinite(hi):
+            gap = min(gap, min(x[i] - lo, hi - x[i]) / (hi - lo))
+    return gap
+
+
 def _chart_health(chart: Chart, x: np.ndarray) -> float:
     if chart.denominator is not None:
         try:
             return abs(chart.denominator.eval(chart.bindings(x)))
         except DomainError:
             return 0.0
-    best = np.inf
-    for i, per in enumerate(chart.periodic):
-        if per:
-            continue
-        lo, hi = chart.bounds[i]
-        if np.isinf(lo) or np.isinf(hi):
-            continue
-        width = hi - lo
-        best = min(best, min(x[i] - lo, hi - x[i]) / width)
-    return 1.0 if np.isinf(best) else best
-
-
-def _near_boundary(chart: Chart, x: np.ndarray, margin: float) -> bool:
-    for i, per in enumerate(chart.periodic):
-        if per:
-            continue
-        lo, hi = chart.bounds[i]
-        if np.isinf(lo) or np.isinf(hi):
-            continue
-        width = hi - lo
-        if min(x[i] - lo, hi - x[i]) < margin * width:
-            return True
-    return False
+    return min(_boundary_gap(chart, x), 1.0)
 
 
 def _interp_error(h: float, k: np.ndarray, tol_vec: np.ndarray) -> float:
@@ -361,7 +349,7 @@ def flow(model, h, x0: Point, t_final: float,
 
         switched = False
         wrapped = chart.wrap(y)
-        if _near_boundary(chart, wrapped, boundary_margin) or \
+        if _boundary_gap(chart, wrapped) < boundary_margin or \
                 _chart_health(chart, wrapped) < switch_tol:
             switched = try_switch(require=False)
         if not switched:
@@ -517,8 +505,7 @@ def loop_integral(chart: Chart, cycle: Cycle, subdivisions: int = 8,
                 wrapped = chart.wrap(x)
                 if not chart.contains(wrapped):
                     raise OutOfDomain(chart.id, wrapped)
-                env = chart.bindings(wrapped)
-                a = np.array([c.eval(env) for c in chart.alpha])
+                a = alpha_components(chart, wrapped)
                 total += w * float(a @ velocity(s)) * 0.5 * width
         return total
 

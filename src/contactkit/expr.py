@@ -432,6 +432,8 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 def _render(node: Node, context: int) -> str:
     kind = type(node)
     if kind is Literal:
+        if math.isinf(node.value):
+            return "1e999" if node.value > 0 else "(-1e999)"
         text = repr(node.value)
         return f"({text})" if node.value < 0 and context >= 3 else text
     if kind is Coordinate:
@@ -464,7 +466,10 @@ _NO_SPAN: Span = (0, 0)
 
 
 def literal(value: float) -> Expression:
-    return Expression(Literal(_NO_SPAN, float(value)))
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("a literal cannot be NaN")
+    return Expression(Literal(_NO_SPAN, value))
 
 
 def coordinate(name: str) -> Expression:

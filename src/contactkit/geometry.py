@@ -6,12 +6,17 @@ a_j(x) dx_j``.  Periodic coordinates have period ``2 pi`` and are stored
 normalized to ``[0, 2 pi)`` on :class:`Point` construction.
 
 The operations here realize the pointwise structure of a cooriented
-contact chart: the 2-form ``d alpha`` as an antisymmetric matrix, the Reeb
-field (``alpha(Z) = 1`` and ``i_Z d alpha = 0``), the sharp isomorphism
-inverting ``X -> -i_X d alpha`` between horizontal fields and the
-annihilator of the Reeb direction, the splitting of a vector into Reeb and
-horizontal parts, and a sampled nondegeneracy check for
-``alpha ^ (d alpha)^n != 0``.
+contact chart: the 2-form ``d alpha`` as an antisymmetric matrix ``Omega``,
+the Reeb field (``alpha(Z) = 1`` and ``i_Z d alpha = 0``), the sharp
+isomorphism inverting ``X -> -i_X d alpha`` between horizontal fields and
+the annihilator of the Reeb direction, the splitting of a vector into Reeb
+and horizontal parts, and a sampled nondegeneracy check for
+``alpha ^ (d alpha)^n != 0``.  That condition holds exactly where
+``B = [[Omega, alpha^T], [alpha, 0]]`` is nonsingular, and a
+:class:`ContactFrame` inverts ``B`` once per point.  The inverse's last
+column is the Reeb field; its leading block ``P`` maps ``eta`` to ``X`` with
+``alpha(X) = 0``, ``Omega X = eta - eta(Z) alpha``: sharp on the
+annihilator of ``Z``, and ``P alpha = 0``.
 """
 
 from __future__ import annotations
@@ -250,27 +255,44 @@ def dalpha_at(chart: Chart, x) -> np.ndarray:
 
 
 class ContactFrame:
-    """Contact data of one chart at one point, shared by the bracket calculus."""
+    """Contact data of one chart at one point, from one inverse of ``B``.
+
+    Raises ``SingularSystem`` where the 1-norm condition estimate of ``B``
+    is not finite or exceeds ``1 / DEFAULT_RANK_TOL``, the rank scale of
+    ``numkernel.solve``."""
 
     def __init__(self, chart: Chart, x):
         self.chart = chart
         self.x = np.asarray(x, dtype=float)
         self.alpha = alpha_components(chart, self.x)
         self.omega = dalpha_matrix(chart, self.x)
-        self._system = np.vstack([self.omega, self.alpha])
-        rhs = np.zeros(chart.dim + 1)
-        rhs[-1] = 1.0
-        self.reeb, _ = numkernel.solve(self._system, rhs)
+        d = chart.dim
+        # B and its inverse side by side: one reduction gives both 1-norms
+        pair = np.zeros((2, d + 1, d + 1))
+        bordered, inv = pair
+        bordered[:d, :d] = self.omega
+        bordered[:d, d] = bordered[d, :d] = self.alpha
+        try:
+            inv[:] = np.linalg.inv(bordered)
+            norms = np.abs(pair).sum(axis=1).max(axis=1)
+            cond = float(norms[0] * norms[1])
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not cond <= 1.0 / numkernel.DEFAULT_RANK_TOL:
+            raise numkernel.SingularSystem(None, d + 1, cond)
+        self._sharp = inv[:d, :d]
+        self.reeb = inv[:d, d]
 
     def sharp(self, eta: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
         pairing = float(eta @ self.reeb)
-        scale = 1.0 + float(np.linalg.norm(eta))
-        if abs(pairing) > tol * scale:
+        if abs(pairing) > tol * (1.0 + float(np.linalg.norm(eta))):
             raise NotInZ0(pairing)
-        rhs = np.append(eta, 0.0)
-        x, _ = numkernel.solve(self._system, rhs)
-        return x
+        return self._sharp @ eta
+
+    def field(self, value: float, df: np.ndarray) -> np.ndarray:
+        """``X_f`` from ``f`` and ``df``: ``alpha(X_f) = f``, ``Omega X_f = df - df(Z) alpha``."""
+        return self._sharp @ df + value * self.reeb
 
     def flat(self, v: np.ndarray) -> np.ndarray:
         # -i_X d alpha has components (Omega @ X) under the sign convention above
@@ -309,25 +331,19 @@ class ContactCheck:
     expected_rank: int
 
 
-def horizontal_basis(chart: Chart, x, fr: ContactFrame | None = None) -> np.ndarray:
-    """Rows span ker alpha at ``x``: the coordinate directions pushed into the
-    hyperplane along the Reeb direction, taken in coordinate order."""
-    fr = fr if fr is not None else ContactFrame(chart, x)
-    dim = chart.dim
-    pairing = float(fr.alpha @ fr.reeb)
+def horizontal_basis(alpha: np.ndarray, reeb: np.ndarray) -> np.ndarray:
+    """Rows span ker alpha for a nonzero ``alpha``: the coordinate directions
+    pushed into the hyperplane along the Reeb direction, taken in
+    coordinate order."""
+    dim = alpha.shape[0]
+    pairing = float(alpha @ reeb)
     if abs(pairing) > 1e-8:
-        axis = fr.reeb / pairing
-        candidates = np.eye(dim) - np.outer(fr.alpha, axis)
+        candidates = np.eye(dim) - np.outer(alpha, reeb / pairing)
     else:
         # no usable Reeb direction; fall back to the orthogonal complement
-        norm2 = float(fr.alpha @ fr.alpha)
-        if norm2 == 0.0:
-            return np.eye(dim)[: dim - 1]
-        candidates = np.eye(dim) - np.outer(fr.alpha, fr.alpha) / norm2
-    rows = []
-    ortho: list[np.ndarray] = []
-    for j in range(dim):
-        v = candidates[j].copy()
+        candidates = np.eye(dim) - np.outer(alpha, alpha) / float(alpha @ alpha)
+    rows, ortho = [], []
+    for v in candidates:
         w = v.copy()
         for u in ortho:
             w -= (w @ u) * u
@@ -343,25 +359,14 @@ def horizontal_basis(chart: Chart, x, fr: ContactFrame | None = None) -> np.ndar
 def contact_check(chart: Chart, x, tol: float = numkernel.DEFAULT_RANK_TOL) -> ContactCheck:
     """Sampled nondegeneracy test: rank of ``d alpha`` restricted to ker alpha."""
     x = _check_domain(chart, x)
-    env = chart.bindings(x)
-    a = np.array([c.eval(env) for c in chart.alpha])
+    a = alpha_components(chart, x)
     omega = dalpha_matrix(chart, x)
-    dim = chart.dim
-    expected = dim - 1
+    expected = chart.dim - 1
     if float(np.linalg.norm(a)) < 1e-14:
         return ContactCheck(False, 0.0, 0, expected)
-    system = np.vstack([omega, a])
-    rhs = np.zeros(dim + 1)
-    rhs[-1] = 1.0
-    reeb = np.linalg.lstsq(system, rhs, rcond=None)[0]
-
-    fr = ContactFrame.__new__(ContactFrame)
-    fr.chart = chart
-    fr.x = x
-    fr.alpha = a
-    fr.omega = omega
-    fr.reeb = reeb
-    basis = horizontal_basis(chart, x, fr)
+    # least squares, not a ContactFrame: a degenerate form is a result here
+    reeb = np.linalg.lstsq(np.vstack([omega, a]), np.eye(chart.dim + 1)[-1], rcond=None)[0]
+    basis = horizontal_basis(a, reeb)
     if basis.shape[0] < expected:
         return ContactCheck(False, 0.0, basis.shape[0], expected)
     restricted = basis @ omega @ basis.T

@@ -1,12 +1,14 @@
 """Contact Hamiltonian vector fields and the Jacobi bracket on a single chart.
 
-The generating relation is ``alpha(X_f) = f``; the field is assembled as
+The generating relation is ``alpha(X_f) = f``; the field is
 
-    X_f = f Z + sharp(df - df(Z) alpha)
+    X_f = f Z + sharp(df - df(Z) alpha),
 
-and the bracket as ``[f, g] = X_f(g) - g Z(f)``.  The bracket is a Lie
-bracket but not a derivation; see the tests for a concrete witness of the
-failing product rule.
+which a :class:`~contactkit.geometry.ContactFrame` evaluates as ``f Z + P df``
+with ``P`` from its one bordered inverse (nonsingular exactly when
+``alpha ^ (d alpha)^n != 0``; ``P alpha = 0``).  The bracket is
+``[f, g] = X_f(g) - g Z(f)``.  It is a Lie bracket but not a derivation;
+see the tests for a concrete witness of the failing product rule.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ class PreconditionFailed(ContactKitError):
 
 
 def _field_components(frame: ContactFrame, field) -> np.ndarray:
-    value = float(field(frame.x))
-    df = numkernel.grad(field, frame.x)
-    eta = df - float(df @ frame.reeb) * frame.alpha
-    return value * frame.reeb + frame.sharp(eta)
+    return frame.field(float(field(frame.x)), numkernel.grad(field, frame.x))
 
 
 class HamiltonianField:

@@ -20,11 +20,13 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 class SingularSystem(ContactKitError):
-    def __init__(self, effective_rank: int, needed: int):
+    def __init__(self, effective_rank: int | None, needed: int, condition: float | None = None):
         self.effective_rank = effective_rank
         self.needed = needed
         super().__init__(
-            f"linear system is rank deficient (rank {effective_rank}, need {needed})")
+            f"linear system is rank deficient (rank {effective_rank}, need {needed})"
+            if condition is None else f"linear system of size {needed} is singular "
+            f"to working precision (condition estimate {condition:.3e})")
 
 
 def solve(a: np.ndarray, b: np.ndarray,

@@ -1,6 +1,7 @@
-"""Shared fixtures-by-hand: the canonical chart, a random polynomial source,
-and independent oracles (finite differences, the explicit canonical-chart
-bracket formula, the canonical flow equations)."""
+"""Shared fixtures-by-hand: the canonical chart, the two-chart switching
+atlas, a random polynomial source, and independent oracles (finite
+differences, the explicit canonical-chart bracket formula, the canonical
+flow equations, the contact field from its defining equations)."""
 
 import numpy as np
 
@@ -28,6 +29,29 @@ def normal_form_chart() -> Chart:
     return Chart(id="normal", names=names, alpha=alpha,
                  periodic=(True, True, False, False, False),
                  bounds=((0.0, 2 * np.pi),) * 2 + ((-np.inf, np.inf),) * 3)
+
+
+# two projective charts of T^2 x RP^1 glued by 1/J with factor J; flows of
+# h cross between them
+CHART_SWITCH_CONFIG = {
+    "name": "chart-switch",
+    "charts": [
+        {"id": "V0", "coordinates": ["phi0", "phi1", "J1"], "periodic": ["phi0", "phi1"],
+         "alpha": ["1", "J1", "0"], "domain": {"J1": [-1.0e6, 1.0e6]},
+         "denominator": "1/sqrt(1 + J1^2)"},
+        {"id": "V1", "coordinates": ["phi0", "phi1", "J0"], "periodic": ["phi0", "phi1"],
+         "alpha": ["J0", "1", "0"], "domain": {"J0": [-1.0e6, 1.0e6]},
+         "denominator": "1/sqrt(1 + J0^2)"},
+    ],
+    "overlaps": [
+        {"from": "V0", "to": "V1", "map": ["phi0", "phi1", "1/J1"], "factor": "J1"},
+        {"from": "V1", "to": "V0", "map": ["phi0", "phi1", "1/J0"], "factor": "J0"},
+    ],
+    "sections": [{"name": "h", "local": {"V0": "sin(phi1) + 0.1*J1",
+                                         "V1": "sin(phi1)*J0 + 0.1"}}],
+    "r": 0,
+    "hamiltonian": "h",
+}
 
 
 def random_polynomial(rng: np.random.Generator, names, max_degree=3, terms=4):
@@ -102,3 +126,18 @@ def dissipative_oracle(f, chart, x):
     out[1:n + 1] = df[n + 1:]
     out[n + 1:] = -df[1:n + 1] + p * df[0]
     return out
+
+
+def contact_field_oracle(f, chart, x):
+    """Contact field of ``f`` from its defining equations, ``alpha(X) = f``
+    and ``Omega X = df - df(Z) alpha``, with alpha, Omega, the Reeb field Z
+    and df all built here from partial derivatives and least squares."""
+    env = chart.bindings(x)
+    alpha = np.array([a.eval(env) for a in chart.alpha])
+    jac = np.column_stack([partials(a, chart, x) for a in chart.alpha])
+    omega = jac - jac.T
+    system = np.vstack([alpha, omega])
+    reeb = np.linalg.lstsq(system, np.eye(chart.dim + 1)[0], rcond=None)[0]
+    df = partials(f, chart, x)
+    rhs = np.concatenate([[f.eval(env)], df - (df @ reeb) * alpha])
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]

@@ -88,6 +88,33 @@ def test_bad_usage_exits_2_with_one_line(bad, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", [
+    ["classify", "--samples", "-1"],
+    ["classify", "--grid", "-2"],
+    ["actions", "--subdivisions", "0"],
+    ["flow", "--samples", "-5"],
+])
+def test_bad_integer_arguments_exit_2_with_one_line(bad, capsys, tmp_path):
+    args = [*bad, *PRIMER_ARGS, "--chart", "V0", "--x0", "0,0,1,0.7,-1.3",
+            "--t-final", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_classify_grid_cap_refuses_before_allocating(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep grid was allocated")
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    # 100000 points per axis on five axes asks for 10^25 points
+    assert main(["classify", *PRIMER_ARGS, "--grid", "100000",
+                 "--out", str(tmp_path / "grid.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid") and err.count("\n") == 1
+
+
 def test_flow_integrator_failure_exits_3(tmp_path):
     config = tmp_path / "box.yaml"
     config.write_text(textwrap.dedent("""
@@ -122,6 +149,18 @@ def test_classify_csv_summary_and_determinism(tmp_path):
     summary = read_json(tmp_path / "a.summary.json")
     assert summary["counts"]["regular_transverse"] == 64
     assert summary["config"]["seed"] == 7
+
+
+def test_classify_seed_reports_are_byte_identical(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    args = ["classify", *PRIMER_ARGS, "--chart", "V1", "--samples", "40",
+            "--seed", "7", "--out", str(out)]
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CONTACTKIT_THREADS", threads)
+        assert main(args) == 0
+        reports.append((out.read_bytes(), (tmp_path / "sweep.summary.json").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_classify_grid_hits_zero_locus(tmp_path):

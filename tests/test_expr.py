@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactkit import expr
 from contactkit.expr import (DomainError, Literal, ParseError, UnboundName,
@@ -168,3 +169,45 @@ def test_print_round_trip_edge_forms():
         e = parse(text)
         again = parse(to_text(e))
         assert again.eval(bindings) == e.eval(bindings)
+
+
+def test_infinite_literals_print_as_overflowing_numbers():
+    assert to_text(expr.literal(math.inf)) == "1e999"
+    assert to_text(expr.literal(-math.inf)) == "(-1e999)"
+    assert parse(to_text(expr.literal(math.inf))).eval({}) == math.inf
+    assert parse(to_text(expr.literal(-math.inf))).eval({}) == -math.inf
+    with pytest.raises(ValueError):
+        expr.literal(math.nan)
+
+
+def _outcome(e, bindings):
+    """Value of ``e`` (NaN compares equal to NaN) or the type it raises."""
+    try:
+        value = e.eval(bindings)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return "nan" if math.isnan(value) else value
+
+
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False).map(expr.literal),
+    st.sampled_from([math.inf, -math.inf]).map(expr.literal),
+    st.sampled_from(["a", "b"]).map(expr.coordinate))
+
+
+def _branches(children):
+    return st.one_of(
+        st.tuples(st.sampled_from([expr.add, expr.subtract, expr.multiply, expr.divide]),
+                  children, children).map(lambda t: t[0](t[1], t[2])),
+        children.map(expr.negate),
+        st.tuples(children, st.integers(-3, 3)).map(lambda t: expr.power(*t)),
+        st.tuples(st.sampled_from(sorted(expr.FUNCTION_NAMES)),
+                  children).map(lambda t: expr.call(*t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.recursive(_LEAVES, _branches, max_leaves=12),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_print_round_trip_with_infinite_literals(e, a, b):
+    again = parse(to_text(e))
+    assert _outcome(again, {"a": a, "b": b}) == _outcome(e, {"a": a, "b": b})

@@ -7,6 +7,7 @@ from contactkit.geometry import (Chart, NotInZ0, OutOfDomain, alpha_at,
                                  contact_check, dalpha_at, decompose_vector,
                                  frame_at, reeb_at, sharp)
 from contactkit.models import primer
+from contactkit.numkernel import SingularSystem
 from helpers import canonical_chart, normal_form_chart, random_polynomial
 
 
@@ -206,6 +207,31 @@ def test_contact_check_degenerate_form():
     result = contact_check(chart, np.array([0.1, 0.2, 0.3]))
     assert not result.ok
     assert result.rank == 0
+
+
+def test_frame_rejects_degenerate_form():
+    names = ("q0", "q1", "p1")
+    chart = Chart("degenerate", names,
+                  (expr.literal(1.0), expr.literal(0.0), expr.literal(0.0)),
+                  (False,) * 3, ((-np.inf, np.inf),) * 3)
+    with pytest.raises(SingularSystem):
+        frame_at(chart, np.array([0.1, 0.2, 0.3]))
+
+
+@pytest.mark.parametrize("eps, singular", [(1e-12, True), (1e-3, False)])
+def test_frame_condition_threshold(eps, singular):
+    # alpha = dz + eps x dy: d alpha = eps dx^dy, so alpha ^ d alpha = eps
+    # dx^dy^dz and the bordered matrix has condition of order 1/eps
+    names = ("x", "y", "z")
+    tilt = expr.multiply(expr.literal(eps), expr.coordinate("x"))
+    chart = Chart("tilted", names, (expr.literal(0.0), tilt, expr.literal(1.0)),
+                  (False,) * 3, ((-np.inf, np.inf),) * 3)
+    x = np.array([0.5, 0.2, 0.1])
+    if singular:
+        with pytest.raises(SingularSystem):
+            frame_at(chart, x)
+    else:
+        assert np.allclose(frame_at(chart, x).reeb, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_contact_check_projective(primer_model):

@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactkit import expr
 from contactkit.expr import parse
 from contactkit.geometry import frame_at, alpha_at
 from contactkit.jacobi import (PreconditionFailed, bracket, ham_field,
                                independence, iso_residual, make_symmetry)
-from helpers import (canonical_bracket_oracle, canonical_chart,
-                     dissipative_oracle, random_polynomial)
+from contactkit.models import from_config, primer2
+from helpers import (CHART_SWITCH_CONFIG, canonical_bracket_oracle, canonical_chart,
+                     contact_field_oracle, dissipative_oracle, random_polynomial)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,32 @@ def test_field_matches_flow_equations(chart):
         for x in random_points(rng, chart.dim, 5):
             computed = ham_field(chart, f, x).components
             assert np.max(np.abs(computed - dissipative_oracle(f, chart, x))) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def field_cases():
+    """(chart, generators) on the switching atlas's charts and primer2(2) V2."""
+    switching = from_config(CHART_SWITCH_CONFIG)
+    model = primer2(2, (1.0, np.sqrt(2.0)), "sin(phi2)")
+    cases = [(switching.atlas.chart(cid), [s.on(cid) for s in switching.sections])
+             for cid in ("V0", "V1")]
+    cases.append((model.atlas.chart("V2"), [s.on("V2") for s in model.sections]))
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 2),
+       unit=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_field_matches_defining_equations(field_cases, case, unit, seed):
+    chart, generators = field_cases[case]
+    box = chart.effective_sample_box()
+    x = np.array([lo + u * (hi - lo) for (lo, hi), u in zip(box, unit)])
+    rng = np.random.default_rng(seed)
+    for f in [*generators, random_polynomial(rng, chart.names)]:
+        computed = ham_field(chart, f, x).components
+        reference = contact_field_oracle(f, chart, x)
+        assert np.linalg.norm(computed - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_generating_relation(chart):
