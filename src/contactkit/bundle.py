@@ -127,11 +127,7 @@ class Atlas:
             raise OutOfAtlas(f"no overlap {src!r} -> {dst!r}")
         src_chart = self.charts[src]
         env = src_chart.bindings(x)
-        jac = np.zeros((len(ov.forward), src_chart.dim))
-        for m, e in enumerate(ov.forward):
-            for name in e.names:
-                jac[m, src_chart.names.index(name)] = e.eval_dual(env, {name: 1.0})[1]
-        return jac
+        return np.array([e.gradient(env, src_chart.names) for e in ov.forward])
 
     def triple_ids(self) -> list[tuple[str, str, str]]:
         ids = list(self.charts)
@@ -405,15 +401,16 @@ def momentum_rank(atlas: Atlas, sections: Sequence[Section], point: Point,
     values = _section_values(atlas, sections, point)
     if np.abs(values).max() <= zero_tol:
         raise ZeroLocus(point.chart, point.coords)
-    pivot = int(np.argmax(np.abs(values)))
     chart = atlas.chart_of(point)
-    rows = []
-    for m, s in enumerate(sections):
-        if m == pivot:
-            continue
-        ratio = ChartField(chart, divide(s.on(chart.id), sections[pivot].on(chart.id)))
-        rows.append(ratio.gradient(point.coords))
-    return numkernel.numerical_rank(np.array(rows), tol)
+    if len(sections) == 1:  # one point of projective space: no ratio to differentiate
+        return numkernel.numerical_rank(np.empty((0, chart.dim)), tol)
+    pivot = int(np.argmax(np.abs(values)))
+    env = chart.bindings(point.coords)
+    grads = np.array([s.on(chart.id).gradient(env, chart.names) for s in sections])
+    # d(s_m / s_pivot), by the quotient rule that Dual division applies
+    vp, gp = values[pivot], grads[pivot]
+    rows = (grads * vp - values[:, None] * gp) / (vp * vp)
+    return numkernel.numerical_rank(np.delete(rows, pivot, axis=0), tol)
 
 
 class Stratum(Enum):

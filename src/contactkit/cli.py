@@ -7,9 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -273,15 +271,9 @@ def cmd_classify(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     chart, coords = _sweep_points(cfg, model)
 
-    def work(row):
-        point = chart.point(row)
-        rep = classify(model.atlas, model.sections, model.r, point,
-                       strata_tol=cfg.strata_tol, rank_tol=cfg.rank_tol)
-        return rep
-
-    workers = int(os.environ.get("CONTACTKIT_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(work, coords))
+    reports = [classify(model.atlas, model.sections, model.r, chart.point(row),
+                        strata_tol=cfg.strata_tol, rank_tol=cfg.rank_tol)
+               for row in coords]
 
     header = list(chart.names) + ["stratum", "dimE", "dimF"]
     rows = [list(row) + [rep.stratum.value, str(rep.dimE), str(rep.dimF)]

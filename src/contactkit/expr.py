@@ -12,14 +12,16 @@ Expressions are parsed from text with the usual precedence grammar
 Known functions: sin, cos, tan, exp, log, sqrt, abs.  Angles are radians.
 Exponents must be integer literals (use sqrt for halves); this keeps the
 power rule free of branch cuts.  Domain violations (log of a non-positive
-value, division by zero, negative power of zero, sqrt of a negative) raise
-:class:`DomainError` carrying the span of the offending subexpression
+value, division by zero, negative power of zero, sqrt of a negative, trig
+of an infinite value, arithmetic whose result is NaN such as ``inf - inf``)
+raise :class:`DomainError` carrying the span of the offending subexpression
 instead of propagating NaN.
 
 Evaluation works over plain floats or over :class:`Dual` numbers, which is
-how ``eval_dual`` returns exact directional derivatives.  Parsed trees are
-immutable and evaluation is pure, so expressions can be shared freely
-between threads.
+how ``eval_dual`` returns exact directional derivatives; ``gradient`` seeds
+one coordinate at a time and is the one place partial derivatives come
+from.  Parsed trees are immutable and evaluation is pure, so expressions can
+be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import ContactKitError
 
@@ -337,14 +341,19 @@ def _evaluate(node: Node, env: Mapping[str, Scalar], source: str | None) -> Scal
         b = _evaluate(node.right, env, source)
         op = node.op
         if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if _value_of(b) == 0.0:
-            raise DomainError("division by zero", node.span, source)
-        return a / b
+            out = a + b
+        elif op == "-":
+            out = a - b
+        elif op == "*":
+            out = a * b
+        else:
+            if _value_of(b) == 0.0:
+                raise DomainError("division by zero", node.span, source)
+            out = a / b
+        v = out.value if type(out) is Dual else out
+        if v != v:
+            raise DomainError("undefined result (NaN)", node.span, source)
+        return out
     if kind is Power:
         base = _evaluate(node.base, env, source)
         if node.exponent < 0 and _value_of(base) == 0.0:
@@ -366,6 +375,8 @@ def _evaluate(node: Node, env: Mapping[str, Scalar], source: str | None) -> Scal
         value = value_fn(v)
     except OverflowError:
         raise DomainError("overflow", node.span, source) from None
+    except ValueError:  # math's trig functions refuse an infinite argument
+        raise DomainError(f"{name} of an infinite value", node.span, source) from None
     if isinstance(arg, Dual):
         if name == "sqrt" and v == 0.0:
             if arg.deriv == 0.0:
@@ -408,12 +419,22 @@ class Expression:
 
     def eval_dual(self, bindings: Mapping[str, float],
                   seed: Mapping[str, float]) -> tuple[float, float]:
+        used = self.names
         env = {name: Dual(float(v), float(seed.get(name, 0.0)))
-               for name, v in bindings.items()}
+               for name, v in bindings.items() if name in used}
         result = _evaluate(self.root, env, self.source)
         if isinstance(result, Dual):
             return result.value, result.deriv
         return float(result), 0.0
+
+    def gradient(self, bindings: Mapping[str, float],
+                 names: Sequence[str]) -> np.ndarray:
+        """Partial derivatives along ``names``, in that order; exactly zero
+        along names the formula does not use."""
+        out = np.zeros(len(names))
+        for name in self.names:
+            out[names.index(name)] = self.eval_dual(bindings, {name: 1.0})[1]
+        return out
 
     def __str__(self) -> str:
         return to_text(self)

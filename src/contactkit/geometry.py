@@ -190,17 +190,7 @@ class ChartField:
         return self.expr.eval(self.chart.bindings(x))
 
     def gradient(self, x) -> np.ndarray:
-        env = self.chart.bindings(x)
-        out = np.zeros(self.chart.dim)
-        used = self.expr.names
-        for i, name in enumerate(self.chart.names):
-            if name in used:
-                out[i] = self.expr.eval_dual(env, {name: 1.0})[1]
-        return out
-
-    def directional(self, x, v) -> float:
-        seed = dict(zip(self.chart.names, map(float, v)))
-        return self.expr.eval_dual(self.chart.bindings(x), seed)[1]
+        return self.expr.gradient(self.chart.bindings(x), self.chart.names)
 
 
 FieldLike = Union[Expression, str, ChartField, Callable[[np.ndarray], float]]
@@ -239,14 +229,8 @@ def dalpha_matrix(chart: Chart, x) -> np.ndarray:
     every other entry is exactly zero.
     """
     env = chart.bindings(x)
-    dim = chart.dim
-    jac = np.zeros((dim, dim))
-    for k in range(dim):
-        coeff = chart.alpha[k]
-        for name in coeff.names:
-            j = chart.names.index(name)
-            jac[j, k] = coeff.eval_dual(env, {name: 1.0})[1]
-    return jac - jac.T
+    grads = np.array([a.gradient(env, chart.names) for a in chart.alpha])
+    return grads.T - grads
 
 
 def dalpha_at(chart: Chart, x) -> np.ndarray:

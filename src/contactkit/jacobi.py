@@ -60,9 +60,9 @@ def bracket(chart: Chart, f: FieldLike, g: FieldLike, x) -> float:
     fr = frame_at(chart, x)
     ff = as_field(chart, f)
     gf = as_field(chart, g)
-    xf = _field_components(fr, ff)
-    dg = numkernel.grad(gf, fr.x)
     df = numkernel.grad(ff, fr.x)
+    xf = fr.field(float(ff(fr.x)), df)
+    dg = numkernel.grad(gf, fr.x)
     return float(dg @ xf) - float(gf(fr.x)) * float(df @ fr.reeb)
 
 

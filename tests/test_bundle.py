@@ -1,14 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from contactkit import expr
+from contactkit import expr, numkernel
 from contactkit.bundle import (Atlas, Overlap, Section, Stratum, ZeroDivisor,
                                ZeroLocus, classify, combine_sections, momentum,
                                momentum_rank, rescale, section_bracket,
                                section_field, section_ratio, section_value,
                                validate_atlas, validate_section)
 from contactkit.expr import parse
-from contactkit.geometry import Chart, reeb_at
+from contactkit.geometry import Chart, ChartField, reeb_at
 from contactkit.jacobi import bracket, ham_field
 from contactkit.models import canonical, primer, primer2
 from helpers import canonical_chart, dissipative_oracle
@@ -384,3 +387,36 @@ def test_validate_atlas_flags_missing_reverse_and_empty_samples():
 def test_atlas_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         Atlas([canonical_chart(1), canonical_chart(2)])
+
+
+def _momentum_rows(atlas, sections, point):
+    """The rows ``momentum_rank`` hands to ``numerical_rank``."""
+    seen = []
+    real = numkernel.numerical_rank
+
+    def capture(rows, tol):
+        seen.append(rows)
+        return real(rows, tol)
+
+    with mock.patch.object(numkernel, "numerical_rank", capture):
+        momentum_rank(atlas, sections, point)
+    return seen[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(which=st.sampled_from(["primer", "primer2"]),
+       chart_id=st.sampled_from(["V0", "V1", "V2"]),
+       unit=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+def test_momentum_rank_rows_are_ratio_gradients(pm, pm2, which, chart_id, unit):
+    model = pm if which == "primer" else pm2
+    chart = model.atlas.chart(chart_id)
+    box = chart.effective_sample_box()
+    point = chart.point(np.array([lo + u * (hi - lo) for (lo, hi), u in zip(box, unit)]))
+    values = np.array([section_value(model.atlas, s, point) for s in model.sections])
+    assume(np.abs(values).max() > 1e-9)
+    # the reference differentiates each ratio s_m / s_pivot as an expression
+    pivot = int(np.argmax(np.abs(values)))
+    local = [s.on(chart_id) for s in model.sections]
+    reference = np.array([ChartField(chart, expr.divide(e, local[pivot])).gradient(point.coords)
+                          for m, e in enumerate(local) if m != pivot])
+    assert np.array_equal(_momentum_rows(model.atlas, model.sections, point), reference)

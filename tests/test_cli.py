@@ -103,6 +103,15 @@ def test_bad_integer_arguments_exit_2_with_one_line(bad, capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_infinite_trig_argument_exits_2_with_one_line(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["flow", "--model", "canonical", "--n", "1", "--f", "sin(1e999)",
+                 "--x0", "0,0,0", "--t-final", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sin of an infinite value") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_classify_grid_cap_refuses_before_allocating(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep grid was allocated")

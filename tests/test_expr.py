@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from contactkit import expr
 from contactkit.expr import (DomainError, Literal, ParseError, UnboundName,
                              UnknownFunction, parse, to_text)
-from helpers import fd_derivative, random_expression
+from helpers import fd_derivative, random_expression, random_polynomial
 
 
 def test_parse_literal():
@@ -211,3 +211,83 @@ def _branches(children):
 def test_print_round_trip_with_infinite_literals(e, a, b):
     again = parse(to_text(e))
     assert _outcome(again, {"a": a, "b": b}) == _outcome(e, {"a": a, "b": b})
+
+
+@pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("arg", ["1e999", "-1e999"])
+def test_trig_of_infinite_argument_raises_domain_error(func, arg):
+    source = f"1 + {func}({arg})"
+    with pytest.raises(DomainError) as err:
+        parse(source).eval({})
+    start, end = err.value.span
+    assert source[start:end] == f"{func}({arg})"
+    with pytest.raises(DomainError):
+        parse(f"{func}(x * 1e999)").eval_dual({"x": 2.0}, {"x": 1.0})
+
+
+@pytest.mark.parametrize("source", [
+    "1e999 - 1e999",
+    "0 * 1e999",
+    "1e999 / 1e999",
+    "exp(700)*exp(700) - exp(700)*exp(700)",
+])
+def test_nan_arithmetic_raises_domain_error(source):
+    with pytest.raises(DomainError) as err:
+        parse(source).eval({})
+    assert err.value.span == (0, len(source))
+    with pytest.raises(DomainError):
+        parse(source).eval_dual({}, {})
+
+
+def test_nan_inside_a_larger_formula_names_its_subexpression():
+    source = "2 + x * y + 1"
+    with pytest.raises(DomainError) as err:
+        parse(source).eval({"x": math.inf, "y": 0.0})
+    start, end = err.value.span
+    assert source[start:end] == "x * y"
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.recursive(_LEAVES, _branches, max_leaves=12),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_eval_is_never_nan(e, a, b):
+    try:
+        value = e.eval({"a": a, "b": b})
+    except DomainError:
+        return
+    assert isinstance(value, float) and not math.isnan(value)
+
+
+# trees of this depth keep the central difference within 1e-6; deeper
+# random trees reach degrees where its round-off alone exceeds that
+_TREE = st.tuples(st.integers(0, 2**32 - 1), st.booleans())
+_POINT = st.fixed_dictionaries({n: st.floats(-1.5, 1.5) for n in ("x", "y", "z")})
+
+
+def _tree(seed, polynomial):
+    rng = np.random.default_rng(seed)
+    if polynomial:
+        return random_polynomial(rng, ["x", "y", "z"])
+    return random_expression(rng, ["x", "y", "z"], depth=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREE, bindings=_POINT, order=st.permutations(["w", "x", "y", "z"]))
+def test_gradient_is_the_per_name_dual_loop(tree, bindings, order):
+    e = _tree(*tree)
+    reference = np.zeros(len(order))
+    for i, name in enumerate(order):
+        if name in e.names:
+            reference[i] = e.eval_dual(bindings, {name: 1.0})[1]
+    assert np.array_equal(e.gradient(bindings, order), reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREE, bindings=_POINT)
+def test_gradient_against_finite_differences(tree, bindings):
+    e = _tree(*tree)
+    names = ("x", "y", "z")
+    grad = e.gradient(bindings, names)
+    for i, name in enumerate(names):
+        oracle = fd_derivative(e, bindings, {name: 1.0})
+        assert abs(grad[i] - oracle) / (1.0 + abs(grad[i])) < 1e-6
