@@ -14,14 +14,20 @@ Exponents must be integer literals (use sqrt for halves); this keeps the
 power rule free of branch cuts.  Domain violations (log of a non-positive
 value, division by zero, negative power of zero, sqrt of a negative, trig
 of an infinite value, arithmetic whose result is NaN such as ``inf - inf``)
-raise :class:`DomainError` carrying the span of the offending subexpression
-instead of propagating NaN.
+and derivative failures (the slope of sqrt at zero, a quotient whose
+squared denominator underflows to zero) raise :class:`DomainError`
+carrying the span of the offending subexpression instead of propagating
+NaN.  A span covers the parentheses around an operand.
 
-Evaluation works over plain floats or over :class:`Dual` numbers, which is
-how ``eval_dual`` returns exact directional derivatives; ``gradient`` seeds
-one coordinate at a time and is the one place partial derivatives come
-from.  Parsed trees are immutable and evaluation is pure, so expressions can
-be shared freely between threads.
+Each expression compiles once, on first use, to straight-line Python (a
+:class:`Kernel`): one generated function for the value, one for the value
+with the full gradient (the jet, forward mode with the component
+arithmetic of dual numbers, every direction in one call) and one for a
+single directional derivative.  The domain guards above are inline in the
+generated code; the source never contains a coordinate name or any text
+of the formula.  A :class:`~contactkit.geometry.Chart` compiles its whole
+contact form into one such kernel.  Parsed trees are immutable and
+evaluation is pure, so expressions can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,68 +77,6 @@ class DomainError(ContactKitError):
         self.span = span
         where = f" in {source[span[0]:span[1]]!r}" if source else ""
         super().__init__(f"{reason} at offset {span[0]}{where}")
-
-
-class Dual:
-    """Value plus directional derivative, propagated through arithmetic."""
-
-    __slots__ = ("value", "deriv")
-
-    def __init__(self, value: float, deriv: float = 0.0):
-        self.value = value
-        self.deriv = deriv
-
-    def __repr__(self):
-        return f"Dual({self.value!r}, {self.deriv!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.deriv + other.deriv)
-        return Dual(self.value + other, self.deriv)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.deriv - other.deriv)
-        return Dual(self.value - other, self.deriv)
-
-    def __rsub__(self, other):
-        return Dual(other - self.value, -self.deriv)
-
-    def __neg__(self):
-        return Dual(-self.value, -self.deriv)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value * other.value,
-                        self.deriv * other.value + self.value * other.deriv)
-        return Dual(self.value * other, self.deriv * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value / other.value,
-                        (self.deriv * other.value - self.value * other.deriv)
-                        / (other.value * other.value))
-        return Dual(self.value / other, self.deriv / other)
-
-    def __rtruediv__(self, other):
-        return Dual(other / self.value,
-                    -other * self.deriv / (self.value * self.value))
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return Dual(1.0, 0.0)
-        return Dual(self.value ** k, k * self.value ** (k - 1) * self.deriv)
-
-
-Scalar = Union[float, Dual]
-
-
-def _value_of(s: Scalar) -> float:
-    return s.value if isinstance(s, Dual) else s
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +121,17 @@ class Call(Node):
     argument: Node
 
 
-# function name -> (value, derivative factor); domain guards live in the evaluator
-_FUNCTIONS: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
-    "sin": (math.sin, math.cos),
-    "cos": (math.cos, lambda v: -math.sin(v)),
-    "tan": (math.tan, lambda v: 1.0 / math.cos(v) ** 2),
-    "exp": (math.exp, math.exp),
-    "log": (math.log, lambda v: 1.0 / v),
-    "sqrt": (math.sqrt, lambda v: 0.5 / math.sqrt(v)),
-    "abs": (abs, lambda v: math.copysign(1.0, v) if v != 0.0 else 0.0),
+# function name -> (value, derivative factor) as source templates over the
+# argument's value {a} and the call's own value {v}; the domain guards are
+# emitted by the kernel compiler
+_FUNCTIONS: dict[str, tuple[str, str]] = {
+    "sin": ("_sin({a})", "_cos({a})"),
+    "cos": ("_cos({a})", "-_sin({a})"),
+    "tan": ("_tan({a})", "1.0 / _cos({a}) ** 2"),
+    "exp": ("_exp({a})", "{v}"),
+    "log": ("_log({a})", "1.0 / {a}"),
+    "sqrt": ("_sqrt({a})", "0.5 / {v}"),
+    "abs": ("abs({a})", "_copysign(1.0, {a}) if {a} != 0.0 else 0.0"),
 }
 
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
@@ -221,6 +167,9 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        # id(node) -> span including the parentheses around it, so that an
+        # enclosing node's span covers them
+        self.extent: dict[int, Span] = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -240,6 +189,10 @@ class _Parser:
             return self.advance()
         self.fail((repr(op),))
 
+    def cover(self, first: Node, last: Node) -> Span:
+        return (self.extent.get(id(first), first.span)[0],
+                self.extent.get(id(last), last.span)[1])
+
     def parse(self) -> Node:
         node = self.sum()
         if self.peek()[0] != "eof":
@@ -251,7 +204,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.advance()[1]
             right = self.product()
-            node = BinaryOp((node.span[0], right.span[1]), op, node, right)
+            node = BinaryOp(self.cover(node, right), op, node, right)
         return node
 
     def product(self) -> Node:
@@ -259,7 +212,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
             op = self.advance()[1]
             right = self.unary()
-            node = BinaryOp((node.span[0], right.span[1]), op, node, right)
+            node = BinaryOp(self.cover(node, right), op, node, right)
         return node
 
     def unary(self) -> Node:
@@ -267,7 +220,7 @@ class _Parser:
         if kind == "op" and text == "-":
             self.advance()
             operand = self.unary()
-            return Negate((start, operand.span[1]), operand)
+            return Negate((start, self.cover(operand, operand)[1]), operand)
         return self.power()
 
     def power(self) -> Node:
@@ -275,7 +228,7 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
             k, end = self.int_exponent()
-            node = Power((node.span[0], end), node, k)
+            node = Power((self.cover(node, node)[0], end), node, k)
         return node
 
     def int_exponent(self) -> tuple[int, int]:
@@ -317,88 +270,305 @@ class _Parser:
         if kind == "op" and text == "(":
             self.advance()
             node = self.sum()
-            self.expect_op(")")
+            self.extent[id(node)] = (start, self.expect_op(")")[3])
             return node
         self.fail(("number", "name", "'('"))
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation to straight-line Python
 
-def _evaluate(node: Node, env: Mapping[str, Scalar], source: str | None) -> Scalar:
+def _children(node: Node) -> tuple[Node, ...]:
     kind = type(node)
-    if kind is Literal:
-        return node.value
-    if kind is Coordinate:
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundName(node.name) from None
-    if kind is Negate:
-        return -_evaluate(node.operand, env, source)
     if kind is BinaryOp:
-        a = _evaluate(node.left, env, source)
-        b = _evaluate(node.right, env, source)
-        op = node.op
-        if op == "+":
-            out = a + b
-        elif op == "-":
-            out = a - b
-        elif op == "*":
-            out = a * b
-        else:
-            if _value_of(b) == 0.0:
-                raise DomainError("division by zero", node.span, source)
-            out = a / b
-        v = out.value if type(out) is Dual else out
-        if v != v:
-            raise DomainError("undefined result (NaN)", node.span, source)
-        return out
+        return (node.left, node.right)
+    if kind is Negate:
+        return (node.operand,)
     if kind is Power:
-        base = _evaluate(node.base, env, source)
-        if node.exponent < 0 and _value_of(base) == 0.0:
-            raise DomainError("negative power of zero", node.span, source)
-        try:
-            return base ** node.exponent
-        except OverflowError:
-            raise DomainError("overflow", node.span, source) from None
-    # Call
-    arg = _evaluate(node.argument, env, source)
-    v = _value_of(arg)
-    name = node.func
-    if name == "log" and v <= 0.0:
-        raise DomainError("log of a non-positive value", node.span, source)
-    if name == "sqrt" and v < 0.0:
-        raise DomainError("sqrt of a negative value", node.span, source)
-    value_fn, deriv_fn = _FUNCTIONS[name]
-    try:
-        value = value_fn(v)
-    except OverflowError:
-        raise DomainError("overflow", node.span, source) from None
-    except ValueError:  # math's trig functions refuse an infinite argument
-        raise DomainError(f"{name} of an infinite value", node.span, source) from None
-    if isinstance(arg, Dual):
-        if name == "sqrt" and v == 0.0:
-            if arg.deriv == 0.0:
-                return Dual(value, 0.0)
-            raise DomainError("sqrt derivative at zero", node.span, source)
-        return Dual(value, deriv_fn(v) * arg.deriv)
-    return value
+        return (node.base,)
+    if kind is Call:
+        return (node.argument,)
+    return ()
 
 
-def _collect_names(node: Node, out: set[str]) -> None:
-    kind = type(node)
-    if kind is Coordinate:
-        out.add(node.name)
-    elif kind is Negate:
-        _collect_names(node.operand, out)
-    elif kind is BinaryOp:
-        _collect_names(node.left, out)
-        _collect_names(node.right, out)
-    elif kind is Power:
-        _collect_names(node.base, out)
-    elif kind is Call:
-        _collect_names(node.argument, out)
+# (node, positions of its children in the list, depends on a coordinate)
+_Op = tuple[Node, tuple[int, ...], bool]
+
+
+def _postorder(root: Node) -> list[_Op]:
+    """The nodes of ``root``, children first and left to right."""
+    ops: list[_Op] = []
+    done: list[int] = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = _children(node)
+        if kids and not expanded:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        args = tuple(done[len(done) - len(kids):])
+        del done[len(done) - len(kids):]
+        dual = type(node) is Coordinate or any(ops[k][2] for k in args)
+        done.append(len(ops))
+        ops.append((node, args, dual))
+    return ops
+
+
+_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math.exp,
+              "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign}
+
+
+def _tuple(items: Iterable[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+class _Writer:
+    """Body of one generated function: lines over generated identifiers, the
+    non-finite constants they read from ``_K`` and the error sites ``_E``
+    raises."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: list[float] = []
+        self.errors: list[tuple[str, Span, str | None]] = []
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " + line)
+
+    def fail(self, reason: str, node: Node, source: str | None) -> str:
+        self.errors.append((reason, node.span, source))
+        return f"raise _E({len(self.errors) - 1}) from None"
+
+    def check(self, condition: str, reason: str, node: Node, source: str | None) -> None:
+        self.emit(f"if {condition}: {self.fail(reason, node, source)}")
+
+    def guarded(self, statement: str, exc: str, reason: str, node: Node,
+                source: str | None) -> None:
+        self.lines += ["    try:", "        " + statement, f"    except {exc}:",
+                       "        " + self.fail(reason, node, source)]
+
+    def literal(self, value: float) -> str:
+        value = float(value)
+        if not math.isfinite(value):
+            self.consts.append(value)
+            return f"_K[{len(self.consts) - 1}]"
+        text = repr(value)
+        return f"({text})" if text.startswith("-") else text
+
+
+class _Tree:
+    """Emits one expression's nodes: values, and derivatives one direction
+    at a time with the component arithmetic of dual numbers (a node that
+    reads no coordinate is a plain float with no derivative)."""
+
+    def __init__(self, out: _Writer, ops: list[_Op], index: Mapping[str, int],
+                 source: str | None):
+        self.out = out
+        self.ops = ops
+        self.index = index
+        self.source = source
+        self.value: list[str] = [""] * len(ops)
+        self.factor: list[str] = [""] * len(ops)
+
+    def run(self, seeds: Sequence[str] | None = None, values: bool = True) -> str:
+        """Emit the values (when ``values``) and, given ``seeds`` (the source
+        text of each argument's derivative), the derivatives along them
+        node by node; returns the root's derivative."""
+        deriv: list[str] = [""] * len(self.ops)
+        for k, (node, kids, dual) in enumerate(self.ops):
+            if values:
+                self._value(k, node, kids)
+            if seeds is not None and dual:
+                if values:
+                    self._factor(k, node, kids)
+                deriv[k] = self._derivative(k, node, kids, deriv, seeds)
+        return deriv[-1] or "0.0"
+
+    def _value(self, k: int, node: Node, kids: tuple[int, ...]) -> None:
+        out, src, kind = self.out, self.source, type(node)
+        if kind is Literal:
+            self.value[k] = out.literal(node.value)
+            return
+        if kind is Coordinate:
+            self.value[k] = f"x{self.index[node.name]}"
+            return
+        v = self.value[k] = out.fresh("v")
+        a = self.value[kids[0]]
+        if kind is Negate:
+            out.emit(f"{v} = -{a}")
+        elif kind is BinaryOp:
+            b = self.value[kids[1]]
+            if node.op == "/":
+                out.check(f"{b} == 0.0", "division by zero", node, src)
+            out.emit(f"{v} = {a} {node.op} {b}")
+            out.check(f"{v} != {v}", "undefined result (NaN)", node, src)
+        elif kind is Power:
+            p = node.exponent
+            if p < 0:
+                out.check(f"{a} == 0.0", "negative power of zero", node, src)
+            if p == 0:
+                out.emit(f"{v} = {a} ** 0")
+            else:
+                out.guarded(f"{v} = {a} ** ({p})", "OverflowError", "overflow", node, src)
+        else:
+            name = node.func
+            if name == "log":
+                out.check(f"{a} <= 0.0", "log of a non-positive value", node, src)
+            elif name == "sqrt":
+                out.check(f"{a} < 0.0", "sqrt of a negative value", node, src)
+            statement = f"{v} = " + _FUNCTIONS[name][0].format(a=a)
+            if name == "exp":
+                out.guarded(statement, "OverflowError", "overflow", node, src)
+            elif name in ("sin", "cos", "tan"):  # math refuses an infinite argument
+                out.guarded(statement, "ValueError", f"{name} of an infinite value",
+                            node, src)
+            else:
+                out.emit(statement)
+
+    def _factor(self, k: int, node: Node, kids: tuple[int, ...]) -> None:
+        """Per-node part of the derivative shared by every direction."""
+        out, src, kind = self.out, self.source, type(node)
+        if kind is BinaryOp and node.op == "/" and self.ops[kids[1]][2]:
+            b = self.value[kids[1]]
+            g = self.factor[k] = out.fresh("g")
+            out.emit(f"{g} = {b} * {b}")
+            out.check(f"{g} == 0.0", "derivative of a division underflows", node, src)
+        elif kind is Power and node.exponent != 0:
+            p, a = node.exponent, self.value[kids[0]]
+            g = self.factor[k] = out.fresh("g")
+            out.guarded(f"{g} = ({p}) * {a} ** ({p - 1})", "OverflowError", "overflow",
+                        node, src)
+        elif kind is Call and node.func != "sqrt":
+            g = self.factor[k] = out.fresh("g")
+            out.emit(f"{g} = " + _FUNCTIONS[node.func][1].format(a=self.value[kids[0]],
+                                                              v=self.value[k]))
+
+    def _derivative(self, k: int, node: Node, kids: tuple[int, ...],
+                    deriv: list[str], seeds: Sequence[str]) -> str:
+        out, kind = self.out, type(node)
+        if kind is Coordinate:
+            return seeds[self.index[node.name]]
+        g = self.factor[k]
+        da = deriv[kids[0]]
+        a = self.value[kids[0]]
+        if kind is BinaryOp:
+            db = deriv[kids[1]]
+            b = self.value[kids[1]]
+            op = node.op
+            if op in "+-":
+                if da and db:
+                    text = f"{da} {op} {db}"
+                elif da:
+                    return da
+                elif op == "+":
+                    return db
+                else:
+                    text = f"-{db}"
+            elif op == "*":
+                text = (f"{da} * {b} + {a} * {db}" if da and db
+                        else f"{da} * {b}" if da else f"{db} * {a}")
+            else:
+                text = (f"({da} * {b} - {a} * {db}) / {g}" if da and db
+                        else f"{da} / {b}" if da else f"-{a} * {db} / {g}")
+        elif kind is Negate:
+            text = f"-{da}"
+        elif kind is Power:
+            if node.exponent == 0:
+                return "0.0"
+            text = f"{g} * {da}"
+        elif node.func != "sqrt":
+            text = f"{g} * {da}"
+        else:
+            d = out.fresh("d")
+            out.emit(f"if {a} != 0.0: {d} = 0.5 / {self.value[k]} * {da}")
+            out.emit(f"elif {da} == 0.0: {d} = 0.0")
+            out.emit(f"else: {out.fail('sqrt derivative at zero', node, self.source)}")
+            return d
+        d = out.fresh("d")
+        out.emit(f"{d} = {text}")
+        return d
+
+
+class Kernel:
+    """Expressions compiled to straight-line Python over ordered coordinates.
+
+    ``value(*x)`` takes one float per name and returns the tuple of values.
+    ``jet(*x)`` returns it together with, per expression, the tuple of its
+    partials along every name (exactly zero along names the expression does
+    not read).  ``tangent(*x, *dx)`` returns the values with each
+    expression's derivative along ``dx``.  Each entry point is generated on
+    first use.  Derivatives follow dual-number arithmetic component by
+    component, so they equal one forward pass per seeded direction bit for
+    bit.  A jet raises what those passes would raise taken in order:
+    expression by expression, one pass per name the expression reads, in
+    the order of ``names``, the first pass also checking the values.  The
+    generated source holds generated identifiers, float literals, integer
+    exponents and ``math`` functions only.
+    """
+
+    def __init__(self, exprs: Sequence["Expression"], names: Sequence[str]):
+        self.names = tuple(names)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        self._trees = [(_postorder(e.root), e.source) for e in exprs]
+        for ops, _ in self._trees:
+            for node, _, _ in ops:
+                if type(node) is Coordinate and node.name not in self._index:
+                    raise UnboundName(node.name)
+
+    @cached_property
+    def value(self) -> Callable[..., tuple]:
+        return self._compile("value")
+
+    @cached_property
+    def jet(self) -> Callable[..., tuple]:
+        return self._compile("jet")
+
+    @cached_property
+    def tangent(self) -> Callable[..., tuple]:
+        return self._compile("tangent")
+
+    def _compile(self, mode: str) -> Callable[..., tuple]:
+        out = _Writer()
+        n = len(self.names)
+        params = [f"x{i}" for i in range(n)]
+        values, derivs = [], []
+        for ops, source in self._trees:
+            tree = _Tree(out, ops, self._index, source)
+            if mode == "value":
+                tree.run()
+            elif mode == "tangent":
+                seeds = [f"s{i}" for i in range(n)]
+                derivs.append(tree.run(seeds))
+            else:
+                used = sorted({self._index[node.name] for node, _, _ in ops
+                               if type(node) is Coordinate})
+                row = ["0.0"] * n
+                for c, i in enumerate(used):
+                    unit = ["1.0" if j == i else "0.0" for j in range(n)]
+                    row[i] = tree.run(unit, values=c == 0)
+                if not used:
+                    tree.run()
+                derivs.append(_tuple(row))
+            values.append(tree.value[-1])
+        if mode == "tangent":
+            params += [f"s{i}" for i in range(n)]
+        result = _tuple(values) if mode == "value" else f"{_tuple(values)}, {_tuple(derivs)}"
+        text = "\n".join([f"def _kernel({', '.join(params)}):", *out.lines,
+                          f"    return {result}", ""])
+        errors = tuple(out.errors)
+
+        def error(i: int) -> DomainError:
+            return DomainError(*errors[i])
+
+        namespace = dict(_NAMESPACE, _K=tuple(out.consts), _E=error)
+        exec(compile(text, "<contactkit kernel>", "exec"), namespace)
+        return namespace["_kernel"]
 
 
 @dataclass(frozen=True)
@@ -409,31 +579,49 @@ class Expression:
     source: str | None = None
 
     @cached_property
+    def arguments(self) -> tuple[str, ...]:
+        """Coordinate names in order of first appearance: the arguments of
+        :attr:`kernel`."""
+        return tuple(dict.fromkeys(node.name for node, _, _ in _postorder(self.root)
+                                   if type(node) is Coordinate))
+
+    @cached_property
     def names(self) -> frozenset[str]:
-        found: set[str] = set()
-        _collect_names(self.root, found)
-        return frozenset(found)
+        return frozenset(self.arguments)
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """This formula compiled over :attr:`arguments`; ``eval``,
+        ``eval_dual`` and ``gradient`` all run it."""
+        return Kernel((self,), self.arguments)
+
+    def _args(self, bindings: Mapping[str, float]) -> list[float]:
+        try:
+            return [float(bindings[name]) for name in self.arguments]
+        except KeyError as missing:
+            raise UnboundName(missing.args[0]) from None
 
     def eval(self, bindings: Mapping[str, float]) -> float:
-        return float(_evaluate(self.root, bindings, self.source))
+        return self.kernel.value(*self._args(bindings))[0]
 
     def eval_dual(self, bindings: Mapping[str, float],
                   seed: Mapping[str, float]) -> tuple[float, float]:
-        used = self.names
-        env = {name: Dual(float(v), float(seed.get(name, 0.0)))
-               for name, v in bindings.items() if name in used}
-        result = _evaluate(self.root, env, self.source)
-        if isinstance(result, Dual):
-            return result.value, result.deriv
-        return float(result), 0.0
+        """Value and derivative along ``seed`` (zero for names it omits)."""
+        ds = [float(seed.get(name, 0.0)) for name in self.arguments]
+        (value,), (deriv,) = self.kernel.tangent(*self._args(bindings), *ds)
+        return value, deriv
 
     def gradient(self, bindings: Mapping[str, float],
                  names: Sequence[str]) -> np.ndarray:
         """Partial derivatives along ``names``, in that order; exactly zero
-        along names the formula does not use."""
+        along names the formula does not use.  A formula that reads no
+        coordinate is not evaluated."""
         out = np.zeros(len(names))
-        for name in self.names:
-            out[names.index(name)] = self.eval_dual(bindings, {name: 1.0})[1]
+        if not self.arguments:
+            return out
+        _, (partials,) = self.kernel.jet(*self._args(bindings))
+        for name, d in zip(self.arguments, partials):
+            out[names.index(name)] = d
         return out
 
     def __str__(self) -> str:

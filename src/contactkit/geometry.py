@@ -22,13 +22,14 @@ annihilator of ``Z``, and ``P alpha = 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import numkernel
 from .errors import ContactKitError
-from .expr import Expression, parse
+from .expr import Expression, Kernel, parse
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,6 +98,11 @@ class Chart:
 
     def bindings(self, x: np.ndarray) -> dict[str, float]:
         return dict(zip(self.names, map(float, x)))
+
+    @cached_property
+    def alpha_kernel(self) -> Kernel:
+        """The coefficients of the contact form compiled over ``names``."""
+        return Kernel(self.alpha, self.names)
 
     def wrap(self, coords) -> np.ndarray:
         """Copy of ``coords`` with periodic axes normalized to [0, 2 pi)."""
@@ -176,8 +182,16 @@ class UnboundNameOnChart(ContactKitError):
                          f"coordinates of chart {chart_id!r}")
 
 
+def _floats(x) -> list[float]:
+    return np.asarray(x, dtype=float).tolist()
+
+
 class ChartField:
-    """Scalar field on a chart backed by an expression; derivatives are exact."""
+    """Scalar field on a chart backed by an expression; derivatives are exact.
+
+    The expression's own kernel does the work: coordinates reach it through
+    the chart positions of its arguments, so building a field compiles
+    nothing."""
 
     def __init__(self, chart: Chart, e: Union[Expression, str]):
         self.chart = chart
@@ -185,12 +199,22 @@ class ChartField:
         unknown = self.expr.names - set(chart.names)
         if unknown:
             raise UnboundNameOnChart(chart.id, sorted(unknown))
+        self._positions = tuple(chart.names.index(name) for name in self.expr.arguments)
+
+    def _args(self, x) -> list[float]:
+        xs = _floats(x)
+        return [xs[i] for i in self._positions]
 
     def __call__(self, x) -> float:
-        return self.expr.eval(self.chart.bindings(x))
+        return self.expr.kernel.value(*self._args(x))[0]
 
     def gradient(self, x) -> np.ndarray:
-        return self.expr.gradient(self.chart.bindings(x), self.chart.names)
+        out = [0.0] * self.chart.dim
+        if self._positions:
+            _, (partials,) = self.expr.kernel.jet(*self._args(x))
+            for i, d in zip(self._positions, partials):
+                out[i] = d
+        return np.array(out)
 
 
 FieldLike = Union[Expression, str, ChartField, Callable[[np.ndarray], float]]
@@ -213,8 +237,14 @@ def _check_domain(chart: Chart, x) -> np.ndarray:
 
 
 def alpha_components(chart: Chart, x) -> np.ndarray:
-    env = chart.bindings(x)
-    return np.array([a.eval(env) for a in chart.alpha])
+    return np.array(chart.alpha_kernel.value(*_floats(x)))
+
+
+def _alpha_jet(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha`` and ``Omega`` at ``x`` from one call of the chart's kernel."""
+    values, rows = chart.alpha_kernel.jet(*_floats(x))
+    grads = np.array(rows)
+    return np.array(values), grads.T - grads
 
 
 def alpha_at(chart: Chart, x) -> CoVector:
@@ -228,9 +258,7 @@ def dalpha_matrix(chart: Chart, x) -> np.ndarray:
     Coefficients are only differentiated along coordinates they mention;
     every other entry is exactly zero.
     """
-    env = chart.bindings(x)
-    grads = np.array([a.gradient(env, chart.names) for a in chart.alpha])
-    return grads.T - grads
+    return _alpha_jet(chart, x)[1]
 
 
 def dalpha_at(chart: Chart, x) -> np.ndarray:
@@ -248,8 +276,7 @@ class ContactFrame:
     def __init__(self, chart: Chart, x):
         self.chart = chart
         self.x = np.asarray(x, dtype=float)
-        self.alpha = alpha_components(chart, self.x)
-        self.omega = dalpha_matrix(chart, self.x)
+        self.alpha, self.omega = _alpha_jet(chart, self.x)
         d = chart.dim
         # B and its inverse side by side: one reduction gives both 1-norms
         pair = np.zeros((2, d + 1, d + 1))
@@ -343,8 +370,7 @@ def horizontal_basis(alpha: np.ndarray, reeb: np.ndarray) -> np.ndarray:
 def contact_check(chart: Chart, x, tol: float = numkernel.DEFAULT_RANK_TOL) -> ContactCheck:
     """Sampled nondegeneracy test: rank of ``d alpha`` restricted to ker alpha."""
     x = _check_domain(chart, x)
-    a = alpha_components(chart, x)
-    omega = dalpha_matrix(chart, x)
+    a, omega = _alpha_jet(chart, x)
     expected = chart.dim - 1
     if float(np.linalg.norm(a)) < 1e-14:
         return ContactCheck(False, 0.0, 0, expected)

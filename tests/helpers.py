@@ -1,12 +1,189 @@
 """Shared fixtures-by-hand: the canonical chart, the two-chart switching
-atlas, a random polynomial source, and independent oracles (finite
-differences, the explicit canonical-chart bracket formula, the canonical
-flow equations, the contact field from its defining equations)."""
+atlas, a random polynomial source, and independent oracles (a recursive
+dual-number evaluator, finite differences, the explicit canonical-chart
+bracket formula, the canonical flow equations, the contact field from its
+defining equations)."""
+
+import math
 
 import numpy as np
 
 from contactkit import expr
+from contactkit.expr import (BinaryOp, Coordinate, DomainError, Literal, Negate, Power,
+                             UnboundName)
 from contactkit.geometry import Chart
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: a recursive walk over floats or dual numbers, the
+# evaluator the compiled kernels replaced
+
+class Dual:
+    """Value plus directional derivative, propagated through arithmetic."""
+
+    __slots__ = ("value", "deriv")
+
+    def __init__(self, value, deriv=0.0):
+        self.value = value
+        self.deriv = deriv
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.value + other.value, self.deriv + other.deriv)
+        return Dual(self.value + other, self.deriv)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.value - other.value, self.deriv - other.deriv)
+        return Dual(self.value - other, self.deriv)
+
+    def __rsub__(self, other):
+        return Dual(other - self.value, -self.deriv)
+
+    def __neg__(self):
+        return Dual(-self.value, -self.deriv)
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.value * other.value,
+                        self.deriv * other.value + self.value * other.deriv)
+        return Dual(self.value * other, self.deriv * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.value / other.value,
+                        (self.deriv * other.value - self.value * other.deriv)
+                        / (other.value * other.value))
+        return Dual(self.value / other, self.deriv / other)
+
+    def __rtruediv__(self, other):
+        return Dual(other / self.value,
+                    -other * self.deriv / (self.value * self.value))
+
+    def __pow__(self, k):
+        if k == 0:
+            return Dual(1.0, 0.0)
+        return Dual(self.value ** k, k * self.value ** (k - 1) * self.deriv)
+
+
+def _value_of(s):
+    return s.value if isinstance(s, Dual) else s
+
+
+_REFERENCE_FUNCTIONS = {
+    "sin": (math.sin, math.cos),
+    "cos": (math.cos, lambda v: -math.sin(v)),
+    "tan": (math.tan, lambda v: 1.0 / math.cos(v) ** 2),
+    "exp": (math.exp, math.exp),
+    "log": (math.log, lambda v: 1.0 / v),
+    "sqrt": (math.sqrt, lambda v: 0.5 / math.sqrt(v)),
+    "abs": (abs, lambda v: math.copysign(1.0, v) if v != 0.0 else 0.0),
+}
+
+
+def _evaluate(node, env, source):
+    kind = type(node)
+    if kind is Literal:
+        return node.value
+    if kind is Coordinate:
+        try:
+            return env[node.name]
+        except KeyError:
+            raise UnboundName(node.name) from None
+    if kind is Negate:
+        return -_evaluate(node.operand, env, source)
+    if kind is BinaryOp:
+        a = _evaluate(node.left, env, source)
+        b = _evaluate(node.right, env, source)
+        op = node.op
+        if op == "+":
+            out = a + b
+        elif op == "-":
+            out = a - b
+        elif op == "*":
+            out = a * b
+        else:
+            if _value_of(b) == 0.0:
+                raise DomainError("division by zero", node.span, source)
+            try:
+                out = a / b
+            except ZeroDivisionError:  # the dual quotient's squared denominator underflowed
+                raise DomainError("derivative of a division underflows",
+                                  node.span, source) from None
+        v = out.value if type(out) is Dual else out
+        if v != v:
+            raise DomainError("undefined result (NaN)", node.span, source)
+        return out
+    if kind is Power:
+        base = _evaluate(node.base, env, source)
+        if node.exponent < 0 and _value_of(base) == 0.0:
+            raise DomainError("negative power of zero", node.span, source)
+        try:
+            return base ** node.exponent
+        except OverflowError:
+            raise DomainError("overflow", node.span, source) from None
+    # Call
+    arg = _evaluate(node.argument, env, source)
+    v = _value_of(arg)
+    name = node.func
+    if name == "log" and v <= 0.0:
+        raise DomainError("log of a non-positive value", node.span, source)
+    if name == "sqrt" and v < 0.0:
+        raise DomainError("sqrt of a negative value", node.span, source)
+    value_fn, deriv_fn = _REFERENCE_FUNCTIONS[name]
+    try:
+        value = value_fn(v)
+    except OverflowError:
+        raise DomainError("overflow", node.span, source) from None
+    except ValueError:  # math's trig functions refuse an infinite argument
+        raise DomainError(f"{name} of an infinite value", node.span, source) from None
+    if isinstance(arg, Dual):
+        if name == "sqrt" and v == 0.0:
+            if arg.deriv == 0.0:
+                return Dual(value, 0.0)
+            raise DomainError("sqrt derivative at zero", node.span, source)
+        return Dual(value, deriv_fn(v) * arg.deriv)
+    return value
+
+
+def reference_names(node):
+    """Coordinate names in order of first appearance, left to right."""
+    if type(node) is Coordinate:
+        return [node.name]
+    out = []
+    for field in ("operand", "left", "right", "base", "argument"):
+        child = getattr(node, field, None)
+        if child is not None:
+            out += [name for name in reference_names(child) if name not in out]
+    return out
+
+
+def reference_eval(e, bindings):
+    return float(_evaluate(e.root, bindings, e.source))
+
+
+def reference_eval_dual(e, bindings, seed):
+    used = e.names
+    env = {name: Dual(float(v), float(seed.get(name, 0.0)))
+           for name, v in bindings.items() if name in used}
+    result = _evaluate(e.root, env, e.source)
+    if isinstance(result, Dual):
+        return result.value, result.deriv
+    return float(result), 0.0
+
+
+def reference_gradient(e, bindings, names):
+    """One dual pass per name the formula reads, in order of first
+    appearance; exact zeros elsewhere."""
+    out = np.zeros(len(names))
+    for name in reference_names(e.root):
+        out[names.index(name)] = reference_eval_dual(e, bindings, {name: 1.0})[1]
+    return out
+
 
 
 def canonical_chart(n: int) -> Chart:
@@ -95,8 +272,7 @@ def fd_derivative(e, bindings, seed, h=1e-6):
 
 
 def partials(e, chart, x):
-    env = chart.bindings(x)
-    return np.array([e.eval_dual(env, {name: 1.0})[1] for name in chart.names])
+    return reference_gradient(e, chart.bindings(x), chart.names)
 
 
 def canonical_bracket_oracle(f, g, chart, x):
@@ -106,7 +282,7 @@ def canonical_bracket_oracle(f, g, chart, x):
     df = partials(f, chart, x)
     dg = partials(g, chart, x)
     env = chart.bindings(x)
-    fv, gv = f.eval(env), g.eval(env)
+    fv, gv = reference_eval(f, env), reference_eval(g, env)
     p = x[n + 1:]
     sym = sum(df[n + 1 + i] * dg[1 + i] - dg[n + 1 + i] * df[1 + i]
               for i in range(n))
@@ -119,7 +295,7 @@ def dissipative_oracle(f, chart, x):
     n = chart.n
     df = partials(f, chart, x)
     env = chart.bindings(x)
-    value = f.eval(env)
+    value = reference_eval(f, env)
     p = x[n + 1:]
     out = np.empty(chart.dim)
     out[0] = value - float(p @ df[n + 1:])
@@ -133,11 +309,11 @@ def contact_field_oracle(f, chart, x):
     and ``Omega X = df - df(Z) alpha``, with alpha, Omega, the Reeb field Z
     and df all built here from partial derivatives and least squares."""
     env = chart.bindings(x)
-    alpha = np.array([a.eval(env) for a in chart.alpha])
+    alpha = np.array([reference_eval(a, env) for a in chart.alpha])
     jac = np.column_stack([partials(a, chart, x) for a in chart.alpha])
     omega = jac - jac.T
     system = np.vstack([alpha, omega])
     reeb = np.linalg.lstsq(system, np.eye(chart.dim + 1)[0], rcond=None)[0]
     df = partials(f, chart, x)
-    rhs = np.concatenate([[f.eval(env)], df - (df @ reeb) * alpha])
+    rhs = np.concatenate([[reference_eval(f, env)], df - (df @ reeb) * alpha])
     return np.linalg.lstsq(system, rhs, rcond=None)[0]

@@ -112,6 +112,16 @@ def test_infinite_trig_argument_exits_2_with_one_line(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_division_derivative_underflow_exits_2_with_one_line(capsys, tmp_path):
+    # 1/q1 is finite at q1 = 1e-200, but its slope needs q1^2, which underflows
+    out = tmp_path / "t.csv"
+    assert main(["flow", "--model", "canonical", "--n", "1", "--f", "1/q1",
+                 "--x0", "0,1e-200,0", "--t-final", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: derivative of a division underflows at offset 0 in '1/q1'\n"
+    assert not out.exists()
+
+
 def test_classify_grid_cap_refuses_before_allocating(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep grid was allocated")

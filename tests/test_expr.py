@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from contactkit import expr
 from contactkit.expr import (DomainError, Literal, ParseError, UnboundName,
                              UnknownFunction, parse, to_text)
-from helpers import fd_derivative, random_expression, random_polynomial
+from contactkit.geometry import Chart, alpha_components, dalpha_matrix
+from helpers import (fd_derivative, random_expression, random_polynomial, reference_eval,
+                     reference_eval_dual, reference_gradient, reference_names)
 
 
 def test_parse_literal():
@@ -278,7 +280,7 @@ def test_gradient_is_the_per_name_dual_loop(tree, bindings, order):
     reference = np.zeros(len(order))
     for i, name in enumerate(order):
         if name in e.names:
-            reference[i] = e.eval_dual(bindings, {name: 1.0})[1]
+            reference[i] = reference_eval_dual(e, bindings, {name: 1.0})[1]
     assert np.array_equal(e.gradient(bindings, order), reference)
 
 
@@ -291,3 +293,125 @@ def test_gradient_against_finite_differences(tree, bindings):
     for i, name in enumerate(names):
         oracle = fd_derivative(e, bindings, {name: 1.0})
         assert abs(grad[i] - oracle) / (1.0 + abs(grad[i])) < 1e-6
+
+
+def _result(fn, *args):
+    """What ``fn`` returns, or the type and span of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), getattr(exc, "span", None)
+
+
+def _raised(result):
+    return isinstance(result, tuple) and isinstance(result[0], type)
+
+
+def _same(new, old):
+    if _raised(new) or _raised(old):
+        return new == old
+    return np.array_equal(np.asarray(new), np.asarray(old), equal_nan=True)
+
+
+def _check_against_reference(e, bindings, names):
+    assert _same(_result(e.eval, bindings), _result(reference_eval, e, bindings))
+    seed = {name: 0.5 + i for i, name in enumerate(names)}
+    assert _same(_result(e.eval_dual, bindings, seed),
+                 _result(reference_eval_dual, e, bindings, seed))
+    assert _same(_result(e.gradient, bindings, names),
+                 _result(reference_gradient, e, bindings, names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREE, bindings=_POINT)
+def test_kernel_matches_reference_on_smooth_trees(tree, bindings):
+    _check_against_reference(_tree(*tree), bindings, ("z", "x", "w", "y"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(e=st.recursive(_LEAVES, _branches, max_leaves=12),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_kernel_matches_reference_on_infinite_literal_trees(e, a, b):
+    _check_against_reference(e, {"a": a, "b": b}, ("b", "a"))
+
+
+def test_gradient_raises_in_the_order_of_per_name_passes():
+    # the pass along a hits the sqrt slope at zero before the log's value
+    e = parse("sqrt(a) + log(b)")
+    with pytest.raises(DomainError) as err:
+        e.gradient({"a": 0.0, "b": -1.0}, ["a", "b"])
+    assert err.value.reason == "sqrt derivative at zero"
+    with pytest.raises(DomainError) as err:
+        e.eval({"a": 0.0, "b": -1.0})
+    assert err.value.reason == "log of a non-positive value"
+    assert reference_names(e.root) == list(e.arguments) == ["a", "b"]
+
+
+@pytest.mark.parametrize("source, where", [("1/x", "1/x"), ("2 + x/x", "x/x"),
+                                           ("3 - x^2 + 1/(2*x)", "1/(2*x)")])
+def test_division_derivative_underflow_raises_domain_error(source, where):
+    e = parse(source)
+    assert math.isfinite(e.eval({"x": 1e-100}))
+    for call in (lambda: e.gradient({"x": 1e-200}, ["x"]),
+                 lambda: e.eval_dual({"x": 1e-200}, {"x": 1.0})):
+        with pytest.raises(DomainError) as err:
+            call()
+        start, end = err.value.span
+        assert source[start:end] == where
+        assert err.value.reason == "derivative of a division underflows"
+
+
+@pytest.mark.parametrize("source, bindings, where", [
+    ("2 + x * (y - y)", {"x": math.inf, "y": 1.0}, "x * (y - y)"),
+    ("(x - x)^-1", {"x": 1.0}, "(x - x)^-1"),
+    ("-(x - x)^-1 + 1", {"x": 1.0}, "(x - x)^-1"),
+    ("((x)) / (x - x)", {"x": 2.0}, "((x)) / (x - x)"),
+    ("(1e999 - x) * 2", {"x": math.inf}, "1e999 - x"),
+])
+def test_spans_cover_parenthesized_operands(source, bindings, where):
+    with pytest.raises(DomainError) as err:
+        parse(source).eval(bindings)
+    start, end = err.value.span
+    assert source[start:end] == where
+
+
+def test_long_sum_needs_no_recursion():
+    e = parse(" + ".join(["x"] * 1200))
+    assert e.names == {"x"}
+    assert e.eval({"x": 0.5}) == 600.0
+    assert np.array_equal(e.gradient({"x": 0.5}, ["y", "x"]), [0.0, 1200.0])
+    assert e.eval_dual({"x": 0.5}, {"x": 2.0}) == (600.0, 2400.0)
+
+
+@pytest.mark.parametrize("name", ["__import__('os')", "a b", "x0", "_E", "v1"])
+def test_any_coordinate_name_evaluates(name):
+    other = "x1" if name != "x1" else "y"
+    e = expr.add(expr.multiply(expr.coordinate(name), expr.coordinate(name)),
+                 expr.multiply(expr.literal(3.0), expr.coordinate(other)))
+    bindings = {name: 2.0, other: -1.0}
+    assert e.names == {name, other}
+    assert e.eval(bindings) == 1.0
+    assert np.array_equal(e.gradient(bindings, [other, name]), [3.0, 4.0])
+    assert e.eval_dual(bindings, {name: 1.0, other: 1.0}) == (1.0, 7.0)
+    chart = Chart(id="odd", names=(name, other, "z"), alpha=(expr.literal(1.0), e, e),
+                  periodic=(False,) * 3, bounds=((-9.0, 9.0),) * 3)
+    assert np.array_equal(alpha_components(chart, [2.0, -1.0, 0.0]), [1.0, 1.0, 1.0])
+    assert np.array_equal(dalpha_matrix(chart, [2.0, -1.0, 0.0]),
+                          [[0.0, 4.0, 4.0], [-4.0, 0.0, 3.0], [-4.0, -3.0, 0.0]])
+
+
+_CHART_NAMES = ("x", "y", "z")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3), bindings=_POINT)
+def test_chart_kernel_matches_per_coefficient_reference(seeds, bindings):
+    alpha = tuple(random_expression(np.random.default_rng(seed), _CHART_NAMES, depth=3)
+                  for seed in seeds)
+    chart = Chart(id="random", names=_CHART_NAMES, alpha=alpha,
+                  periodic=(False,) * 3, bounds=((-2.0, 2.0),) * 3)
+    x = [bindings[name] for name in _CHART_NAMES]
+    grads = np.array([reference_gradient(a, bindings, _CHART_NAMES) for a in alpha])
+    assert np.array_equal(alpha_components(chart, x),
+                          [reference_eval(a, bindings) for a in alpha])
+    assert np.array_equal(dalpha_matrix(chart, x), grads.T - grads)
