@@ -12,6 +12,15 @@ point and returns normalized homogeneous coordinates in projective space;
 ``classify`` sorts points into the regular transverse stratum, the sigma
 stratum (commuting family tangent to the contact hyperplane), the common
 zero locus, or unclassified when the momentum differential drops rank.
+
+``classify`` and ``momentum_rank`` take one point or a stack of points of
+one chart (a :class:`~contactkit.geometry.Point` whose coordinates are an
+``(N, dim)`` array).  They work on blocks of rows: stacked section values
+and jets, stacked frames, fields, momentum ratios and ranks, one stacked
+call per block, so a sweep's intermediates stay bounded.  A single point
+is a stack of one.  A block that raises is classified again one row at a
+time, so the first failing row raises exactly the error a per-point call
+raises on it.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import numpy as np
 from . import numkernel
 from .errors import ContactKitError
 from .expr import DomainError, Expression, divide, linear_combination
-from .geometry import Chart, ChartField, Point, TangentVector, alpha_components, frame_at
+from .geometry import (Chart, ChartField, Point, TangentVector, alpha_components, frame_at,
+                       frame_stack)
 from .jacobi import _field_components, bracket
 
 
@@ -373,15 +383,45 @@ class MomentumValue:
     chart_index: int
 
 
-def _section_values(atlas: Atlas, sections: Sequence[Section], point: Point) -> np.ndarray:
+_BLOCK = 512  # rows per stacked block: bounds the intermediates (about 1 MB) of any sweep
+
+
+def _by_blocks(run: Callable[[np.ndarray], object], x: np.ndarray) -> list:
+    """``run`` over consecutive blocks of the rows of ``x`` (at least one
+    block, empty for an empty stack).  A block that raises is run again one
+    row at a time, so the first failing row raises what a per-point call
+    raises."""
+    parts = []
+    for start in range(0, max(len(x), 1), _BLOCK):
+        block = x[start:start + _BLOCK]
+        try:
+            parts.append(run(block))
+        except (ContactKitError, np.linalg.LinAlgError):
+            for k in range(len(block)):
+                run(block[k:k + 1])
+            raise
+    return parts
+
+
+def _stack_of(atlas: Atlas, point: Point) -> tuple[Chart, np.ndarray]:
     chart = atlas.chart_of(point)
-    env = chart.bindings(point.coords)
-    return np.array([s.on(chart.id).eval(env) for s in sections])
+    return chart, np.asarray(point.coords, dtype=float).reshape(-1, chart.dim)
+
+
+def _section_stack(chart: Chart, x: np.ndarray,
+                   sections: Sequence[Section]) -> tuple[list[ChartField], np.ndarray]:
+    """The sections as fields on the chart, and their values ``(N, k)``."""
+    fields = []
+    values = np.empty((len(x), len(sections)))
+    for m, s in enumerate(sections):
+        fields.append(ChartField(chart, s.on(chart.id)))
+        values[:, m] = fields[-1].value_stack(x)
+    return fields, values
 
 
 def momentum(atlas: Atlas, sections: Sequence[Section], point: Point,
              tol: float = 1e-9) -> MomentumValue:
-    values = _section_values(atlas, sections, point)
+    values = _section_stack(*_stack_of(atlas, point), sections)[1][0]
     magnitudes = np.abs(values)
     if magnitudes.max() <= tol:
         raise ZeroLocus(point.chart, point.coords)
@@ -393,24 +433,44 @@ def momentum(atlas: Atlas, sections: Sequence[Section], point: Point,
     return MomentumValue(u, int(np.argmax(magnitudes)))
 
 
+def _gradient_stack(fields: Sequence[ChartField], x: np.ndarray) -> np.ndarray:
+    """Gradients of the fields, ``(N, k, dim)``."""
+    return np.stack([f.gradient_stack(x) for f in fields], axis=1)
+
+
+def _ratio_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Per row, ``d(s_m / s_pivot)`` for ``m`` other than the section of
+    largest magnitude, by the quotient rule that Dual division applies:
+    ``(N, k - 1, dim)``."""
+    n, k, dim = grads.shape
+    rows = np.arange(n)
+    pivot = np.abs(values).argmax(axis=1)
+    vp = values[rows, pivot][:, None, None]
+    gp = grads[rows, pivot][:, None, :]
+    ratios = (grads * vp - values[:, :, None] * gp) / (vp * vp)
+    return ratios[np.arange(k) != pivot[:, None]].reshape(n, k - 1, dim)
+
+
 def momentum_rank(atlas: Atlas, sections: Sequence[Section], point: Point,
                   tol: float = numkernel.DEFAULT_RANK_TOL,
-                  zero_tol: float = 1e-9) -> int:
+                  zero_tol: float = 1e-9):
     """Rank of the differential of the affine momentum chart through the
-    section of largest magnitude at the point."""
-    values = _section_values(atlas, sections, point)
-    if np.abs(values).max() <= zero_tol:
-        raise ZeroLocus(point.chart, point.coords)
-    chart = atlas.chart_of(point)
-    if len(sections) == 1:  # one point of projective space: no ratio to differentiate
-        return numkernel.numerical_rank(np.empty((0, chart.dim)), tol)
-    pivot = int(np.argmax(np.abs(values)))
-    env = chart.bindings(point.coords)
-    grads = np.array([s.on(chart.id).gradient(env, chart.names) for s in sections])
-    # d(s_m / s_pivot), by the quotient rule that Dual division applies
-    vp, gp = values[pivot], grads[pivot]
-    rows = (grads * vp - values[:, None] * gp) / (vp * vp)
-    return numkernel.numerical_rank(np.delete(rows, pivot, axis=0), tol)
+    section of largest magnitude at the point; an array of ranks for a
+    stack of points."""
+    chart, x = _stack_of(atlas, point)
+    single = np.ndim(point.coords) == 1
+
+    def run(block: np.ndarray):
+        fields, values = _section_stack(chart, block, sections)
+        zero = np.abs(values).max(axis=1) <= zero_tol
+        if zero.any():
+            raise ZeroLocus(point.chart, block[np.argmax(zero)])
+        ratios = _ratio_rows(values, _gradient_stack(fields, block))
+        # a single point hands numerical_rank its one matrix
+        return numkernel.numerical_rank(ratios[0] if single else ratios, tol)
+
+    parts = _by_blocks(run, x)
+    return parts[0] if single else np.concatenate(parts)
 
 
 class Stratum(Enum):
@@ -418,6 +478,10 @@ class Stratum(Enum):
     SIGMA = "sigma"
     ZERO_LOCUS = "zero_locus"
     UNCLASSIFIED = "unclassified"
+
+
+_STRATA = tuple(Stratum)
+_CODE = {s: i for i, s in enumerate(_STRATA)}
 
 
 @dataclass(frozen=True)
@@ -428,34 +492,66 @@ class StratumReport:
     transverse: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Strata:
+    """Stratum reports of a stack of points, one entry per row: ``stratum``
+    holds indices into ``Stratum`` in declaration order."""
+
+    stratum: np.ndarray
+    dimE: np.ndarray
+    dimF: np.ndarray
+    transverse: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stratum)
+
+    def __getitem__(self, i: int) -> StratumReport:
+        return StratumReport(_STRATA[self.stratum[i]], int(self.dimE[i]),
+                             int(self.dimF[i]), bool(self.transverse[i]))
+
+    def counts(self) -> dict[Stratum, int]:
+        return dict(zip(_STRATA, np.bincount(self.stratum, minlength=len(_STRATA)).tolist()))
+
+
 def classify(atlas: Atlas, sections: Sequence[Section], r: int, point: Point,
              strata_tol: float = 1e-8,
-             rank_tol: float = numkernel.DEFAULT_RANK_TOL) -> StratumReport:
-    """Assign the point to a stratum of the symmetry family.
+             rank_tol: float = numkernel.DEFAULT_RANK_TOL):
+    """Assign the point to a stratum of the symmetry family: a
+    :class:`StratumReport` for one point, :class:`Strata` for a stack.
 
     ``sections`` must be ordered with the commuting subfamily first:
     ``sections[0 .. r]`` are required to commute with every member.  The
     report carries the computed ranks of the generated distributions
     (``dimE`` for the whole family, ``dimF`` for the commuting part) and
     whether the commuting family is transverse to the contact hyperplane.
+    The rows of a stack are classified together, block by block (see the
+    module docstring); the domain of the chart is checked there too, so a
+    point outside it fails in row order with every other error.
     """
     if not 0 <= r < len(sections):
         raise ValueError(f"commuting index bound r={r} outside 0..{len(sections) - 1}")
-    chart = atlas.chart_of(point)
-    fr = frame_at(chart, point.coords)
-    values = _section_values(atlas, sections, point)
-    scale = 1.0 + float(np.abs(values).max())
-    vectors = np.array([_field_components(fr, ChartField(chart, s.on(chart.id)))
-                        for s in sections])
-    dim_e = numkernel.numerical_rank(vectors, rank_tol)
-    dim_f = numkernel.numerical_rank(vectors[: r + 1], rank_tol)
-    commuting_vanish = bool(np.all(np.abs(values[: r + 1]) <= strata_tol * scale))
-    transverse = not commuting_vanish
-    if np.all(np.abs(values) <= strata_tol * scale):
-        return StratumReport(Stratum.ZERO_LOCUS, dim_e, dim_f, transverse)
+    chart, x = _stack_of(atlas, point)
     p = len(sections) - 1
-    if momentum_rank(atlas, sections, point, rank_tol, zero_tol=strata_tol * scale) < p:
-        return StratumReport(Stratum.UNCLASSIFIED, dim_e, dim_f, transverse)
-    if commuting_vanish:
-        return StratumReport(Stratum.SIGMA, dim_e, dim_f, transverse)
-    return StratumReport(Stratum.REGULAR_TRANSVERSE, dim_e, dim_f, transverse)
+
+    def run(block: np.ndarray) -> tuple[np.ndarray, ...]:
+        frames = frame_stack(chart, block)
+        fields, values = _section_stack(chart, block, sections)
+        grads = _gradient_stack(fields, block)
+        vectors = frames.fields(values, grads)
+        dim_e = numkernel.numerical_rank(vectors, rank_tol)
+        dim_f = numkernel.numerical_rank(vectors[:, : r + 1], rank_tol)
+        scale = 1.0 + np.abs(values).max(axis=1)
+        small = np.abs(values) <= strata_tol * scale[:, None]
+        commuting_vanish = small[:, : r + 1].all(axis=1)
+        zero = small.all(axis=1)
+        live = ~zero
+        dropped = np.zeros(len(block), dtype=bool)
+        dropped[live] = numkernel.numerical_rank(
+            _ratio_rows(values[live], grads[live]), rank_tol) < p
+        stratum = np.select([zero, dropped, commuting_vanish],
+                            [_CODE[Stratum.ZERO_LOCUS], _CODE[Stratum.UNCLASSIFIED],
+                             _CODE[Stratum.SIGMA]], _CODE[Stratum.REGULAR_TRANSVERSE])
+        return stratum, dim_e, dim_f, ~commuting_vanish
+
+    strata = Strata(*map(np.concatenate, zip(*_by_blocks(run, x))))
+    return strata[0] if np.ndim(point.coords) == 1 else strata

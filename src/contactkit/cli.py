@@ -16,6 +16,7 @@ import numpy as np
 from .bundle import Stratum, classify
 from .dynamics import (coordinate_circle, flow, frequencies, loop_integral)
 from .errors import ContactKitError
+from .geometry import Point
 from .models import (ValidationError, canonical, from_config, primer, primer2,
                      validate_model)
 
@@ -271,16 +272,18 @@ def cmd_classify(cfg: RunConfig) -> int:
     model = _load_model(cfg)
     chart, coords = _sweep_points(cfg, model)
 
-    reports = [classify(model.atlas, model.sections, model.r, chart.point(row),
-                        strata_tol=cfg.strata_tol, rank_tol=cfg.rank_tol)
-               for row in coords]
+    # one stacked call; classify checks the domain with every other error,
+    # in row order
+    strata = classify(model.atlas, model.sections, model.r,
+                      Point(chart.id, chart.wrap(coords)),
+                      strata_tol=cfg.strata_tol, rank_tol=cfg.rank_tol)
 
     header = list(chart.names) + ["stratum", "dimE", "dimF"]
-    rows = [list(row) + [rep.stratum.value, str(rep.dimE), str(rep.dimF)]
-            for row, rep in zip(coords, reports)]
-    counts = {s.value: 0 for s in Stratum}
-    for rep in reports:
-        counts[rep.stratum.value] += 1
+    labels = [s.value for s in Stratum]
+    rows = [list(row) + [labels[code], str(e), str(f)]
+            for row, code, e, f in zip(coords, strata.stratum.tolist(),
+                                       strata.dimE.tolist(), strata.dimF.tolist())]
+    counts = {s.value: n for s, n in strata.counts().items()}
     summary = {"config": cfg.as_dict(), "chart": chart.id, "counts": counts,
                "points": len(rows)}
     if cfg.format == "json":

@@ -25,17 +25,26 @@ with the full gradient (the jet, forward mode with the component
 arithmetic of dual numbers, every direction in one call) and one for a
 single directional derivative.  The domain guards above are inline in the
 generated code; the source never contains a coordinate name or any text
-of the formula.  A :class:`~contactkit.geometry.Chart` compiles its whole
-contact form into one such kernel.  Parsed trees are immutable and
-evaluation is pure, so expressions can be shared freely between threads.
+of the formula.  The value and the jet also compile to array functions
+over a stack of points, one row each, generated from the same node list:
+one numpy operation per node (``math`` element by element where a numpy
+ufunc may round differently), each guard one vectorized test, and the
+results bit-identical to the scalar functions row by row.  A stack that
+fails a guard raises what the scalar function raises on the first failing
+row.  A :class:`~contactkit.geometry.Chart` compiles its whole contact form
+into one such kernel.  Parsed trees are immutable and evaluation is pure,
+so expressions can be shared freely between threads.  Printing, comparing,
+hashing and ``repr`` walk a tree with an explicit stack, so a formula of
+any depth prints as readily as it evaluates.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,43 +91,90 @@ class DomainError(ContactKitError):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+# nodes compare, hash and print through the iterative methods of Node
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Node:
     span: Span
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or _own(a) != _own(b):
+                return False
+            pairs.extend(zip(_children(a), _children(b)))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        hashes: list[int] = []
+        for node, kids, _ in _postorder(self):
+            hashes.append(hash((node.__class__.__name__, _own(node),
+                                tuple(hashes[k] for k in kids))))
+        return hashes[-1]
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts: list = [f"{item.__class__.__name__}("]
+            for k, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                parts += [f"{', ' if k else ''}{f.name}=",
+                          value if isinstance(value, Node) else repr(value)]
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+
+@_node
 class Literal(Node):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Coordinate(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Negate(Node):
     operand: Node
 
 
-@dataclass(frozen=True)
+@_node
 class BinaryOp(Node):
     op: str  # one of + - * /
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Power(Node):
     base: Node
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Node):
     func: str
     argument: Node
+
+
+def _own(node: Node) -> tuple:
+    """The fields of ``node`` that are not child nodes, span first."""
+    return tuple(value for value in (getattr(node, f.name) for f in fields(node))
+                 if not isinstance(value, Node))
 
 
 # function name -> (value, derivative factor) as source templates over the
@@ -132,6 +188,19 @@ _FUNCTIONS: dict[str, tuple[str, str]] = {
     "log": ("_log({a})", "1.0 / {a}"),
     "sqrt": ("_sqrt({a})", "0.5 / {v}"),
     "abs": ("abs({a})", "_copysign(1.0, {a}) if {a} != 0.0 else 0.0"),
+}
+
+# the same over a stack, for calls whose argument reads a coordinate: numpy
+# where it rounds exactly (sqrt, abs, copysign), ``math`` element by element
+# where a numpy ufunc may round differently (sin, cos, tan, exp, log, pow)
+_STACK_FUNCTIONS: dict[str, tuple[str, str]] = {
+    "sin": ("_each(_sin, {a})", "_each(_cos, {a})"),
+    "cos": ("_each(_cos, {a})", "-_each(_sin, {a})"),
+    "tan": ("_each(_tan, {a})", "1.0 / _power(_each(_cos, {a}), 2)"),
+    "exp": ("_each(_exp, {a})", "{v}"),
+    "log": ("_each(_log, {a})", "1.0 / {a}"),
+    "sqrt": ("_vsqrt({a})", "0.5 / {v}"),
+    "abs": ("abs({a})", "_where({a} != 0.0, _vcopysign(1.0, {a}), 0.0)"),
 }
 
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
@@ -319,6 +388,20 @@ _NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_tan": math.tan, "_exp": math
               "_log": math.log, "_sqrt": math.sqrt, "_copysign": math.copysign}
 
 
+def _each(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, a.tolist()), float, len(a))
+
+
+def _power(a: np.ndarray, p: int) -> np.ndarray:
+    """``a ** p`` element by element, as Python floats round it."""
+    return np.fromiter(map(pow, a.tolist(), repeat(p)), float, len(a))
+
+
+_STACK_NAMESPACE = dict(_NAMESPACE, _each=_each, _power=_power, _vsqrt=np.sqrt,
+                        _vcopysign=np.copysign, _where=np.where, _empty=np.empty,
+                        _zeros=np.zeros, _columns=lambda x: x.T.copy())
+
+
 def _tuple(items: Iterable[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
@@ -345,8 +428,12 @@ class _Writer:
         self.errors.append((reason, node.span, source))
         return f"raise _E({len(self.errors) - 1}) from None"
 
-    def check(self, condition: str, reason: str, node: Node, source: str | None) -> None:
-        self.emit(f"if {condition}: {self.fail(reason, node, source)}")
+    def check(self, condition: str, reason: str, node: Node, source: str | None,
+              rows: bool = False) -> None:
+        """Raise where ``condition`` holds; with ``rows`` it is an array and
+        holding on any row is enough."""
+        test = f"({condition}).any()" if rows else condition
+        self.emit(f"if {test}: {self.fail(reason, node, source)}")
 
     def guarded(self, statement: str, exc: str, reason: str, node: Node,
                 source: str | None) -> None:
@@ -365,14 +452,17 @@ class _Writer:
 class _Tree:
     """Emits one expression's nodes: values, and derivatives one direction
     at a time with the component arithmetic of dual numbers (a node that
-    reads no coordinate is a plain float with no derivative)."""
+    reads no coordinate is a plain float with no derivative).  With
+    ``stack`` every node that reads a coordinate holds one array over the
+    rows instead of a float, with the same operations in the same order."""
 
     def __init__(self, out: _Writer, ops: list[_Op], index: Mapping[str, int],
-                 source: str | None):
+                 source: str | None, stack: bool = False):
         self.out = out
         self.ops = ops
         self.index = index
         self.source = source
+        self.stack = stack
         self.value: list[str] = [""] * len(ops)
         self.factor: list[str] = [""] * len(ops)
 
@@ -383,14 +473,14 @@ class _Tree:
         deriv: list[str] = [""] * len(self.ops)
         for k, (node, kids, dual) in enumerate(self.ops):
             if values:
-                self._value(k, node, kids)
+                self._value(k, node, kids, dual)
             if seeds is not None and dual:
                 if values:
                     self._factor(k, node, kids)
                 deriv[k] = self._derivative(k, node, kids, deriv, seeds)
         return deriv[-1] or "0.0"
 
-    def _value(self, k: int, node: Node, kids: tuple[int, ...]) -> None:
+    def _value(self, k: int, node: Node, kids: tuple[int, ...], dual: bool) -> None:
         out, src, kind = self.out, self.source, type(node)
         if kind is Literal:
             self.value[k] = out.literal(node.value)
@@ -398,6 +488,7 @@ class _Tree:
         if kind is Coordinate:
             self.value[k] = f"x{self.index[node.name]}"
             return
+        rows = self.stack and dual
         v = self.value[k] = out.fresh("v")
         a = self.value[kids[0]]
         if kind is Negate:
@@ -405,24 +496,27 @@ class _Tree:
         elif kind is BinaryOp:
             b = self.value[kids[1]]
             if node.op == "/":
-                out.check(f"{b} == 0.0", "division by zero", node, src)
+                out.check(f"{b} == 0.0", "division by zero", node, src,
+                          self.stack and self.ops[kids[1]][2])
             out.emit(f"{v} = {a} {node.op} {b}")
-            out.check(f"{v} != {v}", "undefined result (NaN)", node, src)
+            out.check(f"{v} != {v}", "undefined result (NaN)", node, src, rows)
         elif kind is Power:
             p = node.exponent
             if p < 0:
-                out.check(f"{a} == 0.0", "negative power of zero", node, src)
+                out.check(f"{a} == 0.0", "negative power of zero", node, src, rows)
             if p == 0:
                 out.emit(f"{v} = {a} ** 0")
             else:
-                out.guarded(f"{v} = {a} ** ({p})", "OverflowError", "overflow", node, src)
+                power = f"_power({a}, {p})" if rows else f"{a} ** ({p})"
+                out.guarded(f"{v} = {power}", "OverflowError", "overflow", node, src)
         else:
             name = node.func
             if name == "log":
-                out.check(f"{a} <= 0.0", "log of a non-positive value", node, src)
+                out.check(f"{a} <= 0.0", "log of a non-positive value", node, src, rows)
             elif name == "sqrt":
-                out.check(f"{a} < 0.0", "sqrt of a negative value", node, src)
-            statement = f"{v} = " + _FUNCTIONS[name][0].format(a=a)
+                out.check(f"{a} < 0.0", "sqrt of a negative value", node, src, rows)
+            table = _STACK_FUNCTIONS if rows else _FUNCTIONS
+            statement = f"{v} = " + table[name][0].format(a=a)
             if name == "exp":
                 out.guarded(statement, "OverflowError", "overflow", node, src)
             elif name in ("sin", "cos", "tan"):  # math refuses an infinite argument
@@ -438,16 +532,18 @@ class _Tree:
             b = self.value[kids[1]]
             g = self.factor[k] = out.fresh("g")
             out.emit(f"{g} = {b} * {b}")
-            out.check(f"{g} == 0.0", "derivative of a division underflows", node, src)
+            out.check(f"{g} == 0.0", "derivative of a division underflows", node, src,
+                      self.stack)
         elif kind is Power and node.exponent != 0:
             p, a = node.exponent, self.value[kids[0]]
             g = self.factor[k] = out.fresh("g")
-            out.guarded(f"{g} = ({p}) * {a} ** ({p - 1})", "OverflowError", "overflow",
-                        node, src)
+            power = f"_power({a}, {p - 1})" if self.stack else f"{a} ** ({p - 1})"
+            out.guarded(f"{g} = ({p}) * {power}", "OverflowError", "overflow", node, src)
         elif kind is Call and node.func != "sqrt":
             g = self.factor[k] = out.fresh("g")
-            out.emit(f"{g} = " + _FUNCTIONS[node.func][1].format(a=self.value[kids[0]],
-                                                              v=self.value[k]))
+            table = _STACK_FUNCTIONS if self.stack else _FUNCTIONS
+            out.emit(f"{g} = " + table[node.func][1].format(a=self.value[kids[0]],
+                                                           v=self.value[k]))
 
     def _derivative(self, k: int, node: Node, kids: tuple[int, ...],
                     deriv: list[str], seeds: Sequence[str]) -> str:
@@ -486,9 +582,14 @@ class _Tree:
             text = f"{g} * {da}"
         else:
             d = out.fresh("d")
-            out.emit(f"if {a} != 0.0: {d} = 0.5 / {self.value[k]} * {da}")
-            out.emit(f"elif {da} == 0.0: {d} = 0.0")
-            out.emit(f"else: {out.fail('sqrt derivative at zero', node, self.source)}")
+            failure = out.fail("sqrt derivative at zero", node, self.source)
+            if self.stack:
+                out.emit(f"if (({a} == 0.0) & ({da} != 0.0)).any(): {failure}")
+                out.emit(f"{d} = _where({a} != 0.0, 0.5 / {self.value[k]} * {da}, 0.0)")
+            else:
+                out.emit(f"if {a} != 0.0: {d} = 0.5 / {self.value[k]} * {da}")
+                out.emit(f"elif {da} == 0.0: {d} = 0.0")
+                out.emit(f"else: {failure}")
             return d
         d = out.fresh("d")
         out.emit(f"{d} = {text}")
@@ -510,6 +611,17 @@ class Kernel:
     the order of ``names``, the first pass also checking the values.  The
     generated source holds generated identifiers, float literals, integer
     exponents and ``math`` functions only.
+
+    ``value_stack(x)`` and ``jet_stack(x)`` take an ``(N, len(names))``
+    array, one point per row, and return the values as an ``(N, exprs)``
+    array and, for the jet, the partials as an ``(N, exprs, names)`` array.
+    They run the same node list with one numpy operation per node (``math``
+    element by element for sin, cos, tan, exp, log and integer powers,
+    whose numpy ufuncs may round differently), under ``np.errstate`` with
+    each guard tested on all rows at once, so every row equals the scalar
+    entry point bit for bit.  When a guard trips, the rows are replayed
+    through the scalar entry point in order, so a stack raises exactly
+    what the scalar kernel raises on its first failing row.
     """
 
     def __init__(self, exprs: Sequence["Expression"], names: Sequence[str]):
@@ -533,13 +645,38 @@ class Kernel:
     def tangent(self) -> Callable[..., tuple]:
         return self._compile("tangent")
 
-    def _compile(self, mode: str) -> Callable[..., tuple]:
+    @cached_property
+    def _value_rows(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self._compile("value", stack=True)
+
+    @cached_property
+    def _jet_rows(self) -> Callable[[np.ndarray], tuple]:
+        return self._compile("jet", stack=True)
+
+    def value_stack(self, x) -> np.ndarray:
+        return self._stacked(self._value_rows, self.value, x)
+
+    def jet_stack(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self._stacked(self._jet_rows, self.jet, x)
+
+    @staticmethod
+    def _stacked(rows: Callable, scalar: Callable, x):
+        x = np.asarray(x, dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                return rows(x)
+        except DomainError:
+            for point in x.tolist():
+                scalar(*point)
+            raise
+
+    def _compile(self, mode: str, stack: bool = False) -> Callable:
         out = _Writer()
         n = len(self.names)
         params = [f"x{i}" for i in range(n)]
         values, derivs = [], []
         for ops, source in self._trees:
-            tree = _Tree(out, ops, self._index, source)
+            tree = _Tree(out, ops, self._index, source, stack)
             if mode == "value":
                 tree.run()
             elif mode == "tangent":
@@ -548,25 +685,42 @@ class Kernel:
             else:
                 used = sorted({self._index[node.name] for node, _, _ in ops
                                if type(node) is Coordinate})
-                row = ["0.0"] * n
+                row = {}
                 for c, i in enumerate(used):
                     unit = ["1.0" if j == i else "0.0" for j in range(n)]
                     row[i] = tree.run(unit, values=c == 0)
                 if not used:
                     tree.run()
-                derivs.append(_tuple(row))
+                derivs.append(row)
             values.append(tree.value[-1])
-        if mode == "tangent":
-            params += [f"s{i}" for i in range(n)]
-        result = _tuple(values) if mode == "value" else f"{_tuple(values)}, {_tuple(derivs)}"
-        text = "\n".join([f"def _kernel({', '.join(params)}):", *out.lines,
-                          f"    return {result}", ""])
+        if stack:
+            head = ["def _kernel(x):", "    _n = len(x)"]
+            if n:
+                head.append(f"    {', '.join(params)}, = _columns(x)")
+            tail = [f"    _V = _empty((_n, {len(values)}))"]
+            tail += [f"    _V[:, {e}] = {v}" for e, v in enumerate(values)]
+            if mode == "jet":
+                tail.append(f"    _J = _zeros((_n, {len(values)}, {n}))")
+                tail += [f"    _J[:, {e}, {i}] = {d}"
+                         for e, row in enumerate(derivs) for i, d in row.items()]
+            tail.append("    return _V, _J" if mode == "jet" else "    return _V")
+        else:
+            if mode == "tangent":
+                params += [f"s{i}" for i in range(n)]
+            elif mode == "jet":
+                derivs = [_tuple(row.get(i, "0.0") for i in range(n)) for row in derivs]
+            result = (_tuple(values) if mode == "value"
+                      else f"{_tuple(values)}, {_tuple(derivs)}")
+            head = [f"def _kernel({', '.join(params)}):"]
+            tail = [f"    return {result}"]
+        text = "\n".join([*head, *out.lines, *tail, ""])
         errors = tuple(out.errors)
 
         def error(i: int) -> DomainError:
             return DomainError(*errors[i])
 
-        namespace = dict(_NAMESPACE, _K=tuple(out.consts), _E=error)
+        namespace = dict(_STACK_NAMESPACE if stack else _NAMESPACE,
+                         _K=tuple(out.consts), _E=error)
         exec(compile(text, "<contactkit kernel>", "exec"), namespace)
         return namespace["_kernel"]
 
@@ -627,6 +781,17 @@ class Expression:
     def __str__(self) -> str:
         return to_text(self)
 
+    def __repr__(self) -> str:
+        return f"Expression(root={self.root!r}, source={self.source!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.source == other.source and self.root == other.root
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.source))
+
 
 def parse(text: str) -> Expression:
     return Expression(_Parser(text).parse(), text)
@@ -638,34 +803,45 @@ def parse(text: str) -> Expression:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _render(node: Node, context: int) -> str:
+def _pieces(node: Node, context: int) -> list:
+    """Text of ``node`` printed in ``context``: strings, and (child,
+    context) pairs still to print."""
     kind = type(node)
     if kind is Literal:
         if math.isinf(node.value):
-            return "1e999" if node.value > 0 else "(-1e999)"
+            return ["1e999" if node.value > 0 else "(-1e999)"]
         text = repr(node.value)
-        return f"({text})" if node.value < 0 and context >= 3 else text
+        return [f"({text})" if node.value < 0 and context >= 3 else text]
     if kind is Coordinate:
-        return node.name
+        return [node.name]
     if kind is Negate:
-        text = "-" + _render(node.operand, 3)
-        return f"({text})" if context > 3 else text
-    if kind is BinaryOp:
+        parts, wrap = ["-", (node.operand, 3)], context > 3
+    elif kind is BinaryOp:
         prec = _PREC[node.op]
-        left = _render(node.left, prec)
-        right = _render(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if context > prec else text
-    if kind is Power:
-        base = _render(node.base, 4)
+        parts = [(node.left, prec), f" {node.op} ", (node.right, prec + 1)]
+        wrap = context > prec
+    elif kind is Power:
+        # the base prints in context 4 (which already parenthesizes a sum or
+        # a negation) and is parenthesized once more
+        base = [(node.base, 4)]
         if type(node.base) in (Negate, BinaryOp):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    return f"{node.func}({_render(node.argument, 0)})"
+            base = ["(", *base, ")"]
+        return [*base, f"^{node.exponent}"]
+    else:
+        return [f"{node.func}(", (node.argument, 0), ")"]
+    return ["(", *parts, ")"] if wrap else parts
 
 
 def to_text(e: Expression) -> str:
-    return _render(e.root, 0)
+    out: list[str] = []
+    stack: list = [(e.root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(*item)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,19 @@ and horizontal parts, and a sampled nondegeneracy check for
 column is the Reeb field; its leading block ``P`` maps ``eta`` to ``X`` with
 ``alpha(X) = 0``, ``Omega X = eta - eta(Z) alpha``: sharp on the
 annihilator of ``Z``, and ``P alpha = 0``.
+
+:func:`frame_stack` builds the frames of a whole stack of points, one row
+each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
+same condition gate applied per row.  A :class:`ContactFrame` is that
+inverse on a stack of one, so there is one frame path.  ``Chart.wrap`` and
+``Chart.contains`` take one point or a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -104,25 +110,45 @@ class Chart:
         """The coefficients of the contact form compiled over ``names``."""
         return Kernel(self.alpha, self.names)
 
+    @cached_property
+    def _axes(self) -> tuple[list[int], tuple[tuple[int, float, float], ...]]:
+        """The periodic axes, and the bounded ones with their bounds."""
+        periodic = [i for i, per in enumerate(self.periodic) if per]
+        bounded = tuple((i, lo, hi) for i, ((lo, hi), per)
+                        in enumerate(zip(self.bounds, self.periodic)) if not per)
+        return periodic, bounded
+
+    # wrap and contains take one point, with scalar operations (the per-step
+    # hot path), or a stack of points, with one array operation per axis
+
     def wrap(self, coords) -> np.ndarray:
         """Copy of ``coords`` with periodic axes normalized to [0, 2 pi)."""
         x = np.array(coords, dtype=float)
-        for i, per in enumerate(self.periodic):
-            if per:
+        periodic = self._axes[0]
+        if x.ndim == 1:
+            for i in periodic:
                 r = x[i] % TWO_PI
                 # a tiny negative angle rounds up to exactly 2 pi
                 x[i] = 0.0 if r == TWO_PI else r
+            return x
+        r = x[:, periodic] % TWO_PI
+        r[r == TWO_PI] = 0.0
+        x[:, periodic] = r
         return x
 
-    def contains(self, coords) -> bool:
+    def contains(self, coords):
+        """Whether the point lies in the domain; a boolean per row for a stack."""
         x = np.asarray(coords, dtype=float)
-        for i, per in enumerate(self.periodic):
-            if per:
-                continue
-            lo, hi = self.bounds[i]
-            if not (lo < x[i] < hi):
-                return False
-        return True
+        bounded = self._axes[1]
+        if x.ndim == 1:
+            for i, lo, hi in bounded:
+                if not lo < x[i] < hi:
+                    return False
+            return True
+        inside = np.ones(len(x), dtype=bool)
+        for i, lo, hi in bounded:
+            inside &= (lo < x[:, i]) & (x[:, i] < hi)
+        return inside
 
     def point(self, coords) -> "Point":
         x = self.wrap(coords)
@@ -216,6 +242,17 @@ class ChartField:
                 out[i] = d
         return np.array(out)
 
+    def value_stack(self, x: np.ndarray) -> np.ndarray:
+        """Values at the rows of an ``(N, dim)`` stack."""
+        return self.expr.kernel.value_stack(x[:, self._positions])[:, 0]
+
+    def gradient_stack(self, x: np.ndarray) -> np.ndarray:
+        """Gradients at the rows of an ``(N, dim)`` stack, one row each."""
+        out = np.zeros(x.shape)
+        if self._positions:
+            out[:, self._positions] = self.expr.kernel.jet_stack(x[:, self._positions])[1][:, 0]
+        return out
+
 
 FieldLike = Union[Expression, str, ChartField, Callable[[np.ndarray], float]]
 
@@ -230,9 +267,14 @@ def as_field(chart: Chart, f: FieldLike):
 
 
 def _check_domain(chart: Chart, x) -> np.ndarray:
+    """``x`` as floats; a stack raises for its first row outside the chart."""
     x = np.asarray(x, dtype=float)
-    if not chart.contains(x):
-        raise OutOfDomain(chart.id, x)
+    inside = chart.contains(x)
+    if x.ndim == 1:
+        if not inside:
+            raise OutOfDomain(chart.id, x)
+    elif not inside.all():
+        raise OutOfDomain(chart.id, x[np.argmin(inside)])
     return x
 
 
@@ -266,8 +308,44 @@ def dalpha_at(chart: Chart, x) -> np.ndarray:
     return dalpha_matrix(chart, x)
 
 
+_COND_LIMIT = 1.0 / numkernel.DEFAULT_RANK_TOL
+
+
+def _bordered_inverse(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Inverses of ``B = [[Omega, alpha^T], [alpha, 0]]`` for a stack: ``alpha``
+    is ``(N, d)``, ``omega`` ``(N, d, d)``, the result ``(N, d + 1, d + 1)``.
+
+    Raises ``SingularSystem`` for the first row whose 1-norm condition
+    estimate of ``B`` is not finite or exceeds ``1 / DEFAULT_RANK_TOL``, the
+    rank scale of ``numkernel.solve``."""
+    n, d = alpha.shape
+    # the B and then their inverses in one array: one reduction gives every 1-norm
+    pair = np.zeros((2 * n, d + 1, d + 1))
+    bordered, inv = pair[:n], pair[n:]
+    bordered[:, :d, :d] = omega
+    bordered[:, :d, d] = bordered[:, d, :d] = alpha
+    singular = []
+    try:
+        inv[:] = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:  # some row is exactly singular: find which
+        for k, b in enumerate(bordered):
+            try:
+                inv[k] = np.linalg.inv(b)
+            except np.linalg.LinAlgError:
+                singular.append(k)
+    norms = np.abs(pair).sum(axis=1).max(axis=1)
+    cond = (norms[:n] * norms[n:]).tolist()
+    for k in singular:
+        cond[k] = np.inf
+    for c in cond:
+        if not c <= _COND_LIMIT:  # a NaN estimate fails too
+            raise numkernel.SingularSystem(None, d + 1, c)
+    return inv
+
+
 class ContactFrame:
-    """Contact data of one chart at one point, from one inverse of ``B``.
+    """Contact data of one chart at one point: the bordered inverse of
+    ``B`` on a stack of one.
 
     Raises ``SingularSystem`` where the 1-norm condition estimate of ``B``
     is not finite or exceeds ``1 / DEFAULT_RANK_TOL``, the rank scale of
@@ -278,19 +356,7 @@ class ContactFrame:
         self.x = np.asarray(x, dtype=float)
         self.alpha, self.omega = _alpha_jet(chart, self.x)
         d = chart.dim
-        # B and its inverse side by side: one reduction gives both 1-norms
-        pair = np.zeros((2, d + 1, d + 1))
-        bordered, inv = pair
-        bordered[:d, :d] = self.omega
-        bordered[:d, d] = bordered[d, :d] = self.alpha
-        try:
-            inv[:] = np.linalg.inv(bordered)
-            norms = np.abs(pair).sum(axis=1).max(axis=1)
-            cond = float(norms[0] * norms[1])
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if not cond <= 1.0 / numkernel.DEFAULT_RANK_TOL:
-            raise numkernel.SingularSystem(None, d + 1, cond)
+        inv = _bordered_inverse(self.alpha[None], self.omega[None])[0]
         self._sharp = inv[:d, :d]
         self.reeb = inv[:d, d]
 
@@ -312,6 +378,32 @@ class ContactFrame:
 
 def frame_at(chart: Chart, x) -> ContactFrame:
     return ContactFrame(chart, _check_domain(chart, x))
+
+
+class FrameStack(NamedTuple):
+    """Contact frames at the rows of a stack: per row the block ``P`` of the
+    bordered inverse (``sharp``) and the Reeb field (``reeb``)."""
+
+    sharp: np.ndarray
+    reeb: np.ndarray
+
+    def fields(self, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """``X_f = P df + f Z`` per row for ``k`` generators: ``values`` is
+        ``(N, k)``, ``grads`` ``(N, k, dim)``, the result ``(N, k, dim)``,
+        each row as :meth:`ContactFrame.field` computes it."""
+        return ((self.sharp[:, None] @ grads[..., None])[..., 0]
+                + values[..., None] * self.reeb[:, None])
+
+
+def frame_stack(chart: Chart, x) -> FrameStack:
+    """Frames at the rows of an ``(N, dim)`` stack from one stacked alpha jet
+    and one stacked bordered inverse; raises like :func:`frame_at` on the
+    first row that fails."""
+    x = _check_domain(chart, x)
+    alpha, jac = chart.alpha_kernel.jet_stack(x)
+    inv = _bordered_inverse(alpha, jac.transpose(0, 2, 1) - jac)
+    d = chart.dim
+    return FrameStack(inv[:, :d, :d], inv[:, :d, d])
 
 
 def reeb_at(chart: Chart, x) -> TangentVector:

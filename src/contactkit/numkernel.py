@@ -45,16 +45,18 @@ def solve(a: np.ndarray, b: np.ndarray,
     return x, residual
 
 
-def numerical_rank(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of singular values above ``tol`` times the largest one."""
+def numerical_rank(a: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """Count of singular values above ``tol`` times the largest one: an int
+    for one matrix, an int array for a stack ``(..., m, n)`` from one
+    stacked SVD (each matrix's singular values are those of its own SVD).
+    A matrix with no entries, or only zeros, has rank 0."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
-        return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    top = sigma[0]
-    if top == 0.0:
-        return 0
-    return int(np.sum(sigma > tol * top))
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        sigma = np.linalg.svd(a, compute_uv=False)
+        ranks = np.sum(sigma > tol * sigma[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def grad(field, x: np.ndarray, step: float | None = None) -> np.ndarray:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from contactkit import expr, numkernel
+from contactkit.errors import ContactKitError
 from contactkit.bundle import (Atlas, Overlap, Section, Stratum, ZeroDivisor,
                                ZeroLocus, classify, combine_sections, momentum,
                                momentum_rank, rescale, section_bracket,
                                section_field, section_ratio, section_value,
                                validate_atlas, validate_section)
 from contactkit.expr import parse
-from contactkit.geometry import Chart, ChartField, reeb_at
+from contactkit.geometry import Chart, ChartField, Point, reeb_at
 from contactkit.jacobi import bracket, ham_field
 from contactkit.models import canonical, primer, primer2
 from helpers import canonical_chart, dissipative_oracle
@@ -420,3 +421,108 @@ def test_momentum_rank_rows_are_ratio_gradients(pm, pm2, which, chart_id, unit):
     reference = np.array([ChartField(chart, expr.divide(e, local[pivot])).gradient(point.coords)
                           for m, e in enumerate(local) if m != pivot])
     assert np.array_equal(_momentum_rows(model.atlas, model.sections, point), reference)
+
+
+# ---------------------------------------------------------------------------
+# Stacked classify
+
+
+def _sweep(chart, grid):
+    axes = [np.linspace(lo, hi, grid) for lo, hi in chart.effective_sample_box()]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _per_point(atlas, sections, r, chart, coords):
+    """The per-point loop the stacked sweep replaces: reports up to the
+    first row that raises, and that row's error."""
+    reports = []
+    for row in coords:
+        try:
+            reports.append(classify(atlas, sections, r, chart.point(row)))
+        except ContactKitError as err:
+            return reports, err
+    return reports, None
+
+
+@pytest.mark.parametrize("which, chart_id", [("pm", "V2"), ("pm2", "V2"), ("pm2", "V0")])
+def test_stacked_classify_equals_the_per_point_loop(pm, pm2, which, chart_id):
+    model = pm if which == "pm" else pm2
+    chart = model.atlas.chart(chart_id)
+    coords = np.concatenate([_sweep(chart, 3),
+                             np.random.default_rng(4).uniform(0.0, 1.5, (40, 5))])
+    strata = classify(model.atlas, model.sections, model.r, Point(chart.id, coords))
+    reports, failure = _per_point(model.atlas, model.sections, model.r, chart, coords)
+    assert failure is None and len(strata) == len(coords)
+    assert [strata[k] for k in range(len(strata))] == reports
+    assert sum(strata.counts().values()) == len(coords)
+
+
+# alpha = x^3 dy + dz degenerates on the hyperplane x = 0, which an odd grid
+# over the box hits; "log(J)" fails where J <= 0
+_DEGENERATE = Chart(id="U", names=("x", "y", "J"),
+                    alpha=(parse("0"), parse("x^3"), parse("1")),
+                    periodic=(False,) * 3, bounds=((-5.0, 5.0),) * 3,
+                    sample_box=((-2.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)))
+_CONTACT = Chart(id="U", names=("x", "y", "J"),
+                 alpha=(parse("0"), parse("x"), parse("1")),
+                 periodic=(False,) * 3, bounds=((-5.0, 5.0),) * 3,
+                 sample_box=((-2.0, 2.0), (-1.0, 1.0), (-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("chart, section, error", [
+    (_DEGENERATE, "1 + y^2", numkernel.SingularSystem),
+    (_CONTACT, "log(J)", expr.DomainError),
+    # the first row to fail has J = 0 while the frame fails only later, at
+    # x = 0: the stack must not report the singular frame first
+    (_DEGENERATE, "log(J + 1) + x", expr.DomainError),
+    (_DEGENERATE, "sqrt(J + 1) * y", expr.DomainError),  # a derivative fails
+])
+def test_stacked_classify_raises_what_the_first_failing_row_raises(chart, section, error):
+    atlas = Atlas([chart])
+    sections = [Section("s", {"U": parse(section)}), Section("t", {"U": parse("2 + y")})]
+    coords = _sweep(chart, 5)
+    _, failure = _per_point(atlas, sections, 0, chart, coords)
+    assert isinstance(failure, error)
+    for stack in (coords, coords[::-1]):
+        _, failure = _per_point(atlas, sections, 0, chart, stack)
+        with pytest.raises(ContactKitError) as err:
+            classify(atlas, sections, 0, Point(chart.id, stack))
+        assert type(err.value) is type(failure) and str(err.value) == str(failure)
+        assert getattr(err.value, "span", None) == getattr(failure, "span", None)
+
+
+def test_one_section_has_momentum_rank_zero_from_an_empty_matrix():
+    model = canonical(1)
+    chart = model.atlas.chart("canonical")
+    point = chart.point(np.array([0.5, 0.2, 0.7]))
+    sections = [Section("a", {"canonical": parse("2 + q0 * p1")})]
+    rows = _momentum_rows(model.atlas, sections, point)
+    assert rows.shape == (0, 3)
+    assert momentum_rank(model.atlas, sections, point) == 0
+    stack = Point(chart.id, np.array([[0.5, 0.2, 0.7], [0.1, 0.3, -0.4]]))
+    assert momentum_rank(model.atlas, sections, stack).tolist() == [0, 0]
+    report = classify(model.atlas, sections, 0, point)
+    assert (report.stratum, report.dimE, report.dimF) == (Stratum.REGULAR_TRANSVERSE, 1, 1)
+
+
+@pytest.mark.parametrize("r", [-1, 2, 5])
+def test_classify_r_out_of_range_raises(pm, r):
+    chart = pm.atlas.chart("V0")
+    point = chart.point(np.array([0.3, 0.7, 1.1, 0.4, -0.8]))
+    sections = pm.sections[:2]
+    with pytest.raises(ValueError):
+        classify(pm.atlas, sections, r, point)
+    with pytest.raises(ValueError):
+        classify(pm.atlas, sections, r, Point(chart.id, np.zeros((0, 5))))
+
+
+def test_momentum_rank_stack_raises_zero_locus_of_first_row(pm2):
+    red = pm2.reduced
+    chart = red.atlas.chart("N")
+    rows = np.array([[0.3, 0.7, 1.1, 0.4, -0.8], [0.3, 0.7, np.pi, 0.0, 0.0],
+                     [0.1, 0.2, 0.0, 0.0, 0.0]])
+    with pytest.raises(ZeroLocus) as err:
+        momentum_rank(red.atlas, red.sections, Point(chart.id, rows))
+    assert err.value.where.tolist() == rows[1].tolist()
+    ranks = momentum_rank(red.atlas, red.sections, Point(chart.id, rows[:1]))
+    assert ranks.tolist() == [momentum_rank(red.atlas, red.sections, chart.point(rows[0]))]

@@ -263,3 +263,86 @@ def test_classify_positive_profile_has_no_zero_locus_rows(tmp_path, monkeypatch)
                  "--out", str(out)]) == 0
     summary = read_json(tmp_path / "p.summary.json")
     assert summary["counts"]["zero_locus"] == 0
+
+
+def test_classify_zero_samples_writes_header_only(tmp_path):
+    out = tmp_path / "none.csv"
+    assert main(["classify", *PRIMER_ARGS, "--chart", "V1", "--samples", "0",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "phi0,phi1,phi2,J0,J2,stratum,dimE,dimF\n"
+    summary = read_json(tmp_path / "none.summary.json")
+    assert summary["points"] == 0
+    assert summary["counts"] == {"regular_transverse": 0, "sigma": 0,
+                                 "zero_locus": 0, "unclassified": 0}
+
+
+def _write_config(tmp_path, config) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def _per_point_sweep(argv):
+    """Reports and exit line of the per-point loop the stacked sweep
+    replaced: one classify per row, each point built by ``chart.point``."""
+    from contactkit import cli
+    from contactkit.bundle import classify
+    from contactkit.errors import ContactKitError
+    cfg = cli._run_config(cli.build_parser().parse_args(argv))
+    model = cli._load_model(cfg)
+    chart, coords = cli._sweep_points(cfg, model)
+    reports = []
+    for row in coords:
+        try:
+            reports.append(classify(model.atlas, model.sections, model.r, chart.point(row),
+                                    strata_tol=cfg.strata_tol, rank_tol=cfg.rank_tol))
+        except ContactKitError as exc:
+            return reports, f"error: {exc}\n"
+    return reports, None
+
+
+@pytest.mark.parametrize("model", ["primer2", "chart-switch"])
+def test_classify_grid_of_one_point(tmp_path, model):
+    from helpers import CHART_SWITCH_CONFIG
+    args = (["--model", "primer2", "--n", "2", "--omega", "1,1.4142135623730951",
+             "--f", "sin(phi2)"] if model == "primer2"
+            else ["--config", _write_config(tmp_path, CHART_SWITCH_CONFIG)])
+    argv = ["classify", *args, "--grid", "1"]
+    out = tmp_path / "one.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    (report,), failure = _per_point_sweep(argv)
+    assert failure is None and len(rows) == 1
+    assert (rows[0]["stratum"], rows[0]["dimE"], rows[0]["dimF"]) == \
+        (report.stratum.value, str(report.dimE), str(report.dimF))
+    assert sum(read_json(tmp_path / "one.summary.json")["counts"].values()) == 1
+
+
+def _degenerate_config(section: str) -> dict:
+    # alpha = x^3 dy + dz is contact off the plane x = 0, which the 5-point
+    # grid over the sample box hits and the validation samples miss
+    return {
+        "charts": [{"id": "U", "coordinates": ["x", "y", "J"],
+                    "alpha": ["0", "x^3", "1"],
+                    "sample_box": {"x": [-2, 2], "y": [-1, 1], "J": [-1, 1]}}],
+        "sections": [{"name": "s", "local": {"U": section}}],
+        "r": 0,
+        "hamiltonian": "s",
+    }
+
+
+@pytest.mark.parametrize("section, message", [
+    ("1 + y^2", "error: linear system of size 4 is singular"),
+    # J = 0 comes before x = 0 in row order, where only the frame fails
+    ("log(abs(J)) + 2", "error: log of a non-positive value at offset 0 in 'log(abs(J))'"),
+    ("sqrt(J + 1) * y + 1", "error: sqrt derivative at zero"),
+])
+def test_classify_error_is_the_first_failing_rows(tmp_path, capsys, section, message):
+    argv = ["classify", "--config", _write_config(tmp_path, _degenerate_config(section)),
+            "--grid", "5"]
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    _, expected = _per_point_sweep(argv)
+    assert err == expected and err.startswith(message)
+    assert not out.exists()

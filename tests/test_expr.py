@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -376,11 +377,102 @@ def test_spans_cover_parenthesized_operands(source, bindings, where):
 
 
 def test_long_sum_needs_no_recursion():
-    e = parse(" + ".join(["x"] * 1200))
+    text = " + ".join(["x"] * 1200)
+    e = parse(text)
     assert e.names == {"x"}
     assert e.eval({"x": 0.5}) == 600.0
     assert np.array_equal(e.gradient({"x": 0.5}, ["y", "x"]), [0.0, 1200.0])
     assert e.eval_dual({"x": 0.5}, {"x": 2.0}) == (600.0, 2400.0)
+    # printing, comparing, hashing and repr walk the tree without recursion
+    assert to_text(e) == str(e) == text
+    twin = parse(text)
+    assert e == twin and hash(e) == hash(twin)
+    assert e != parse(text + " + y") and e.root != parse(text + " + y").root
+    assert repr(e).startswith(f"Expression(root=BinaryOp(span=(0, {len(text)}), op='+', "
+                              "left=BinaryOp(")
+    assert repr(e).count("Coordinate(span=") == 1200
+
+
+def _dataclass_repr(node) -> str:
+    """The recursive repr the dataclass decorator would generate."""
+    parts = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        text = _dataclass_repr(value) if isinstance(value, expr.Node) else repr(value)
+        parts.append(f"{f.name}={text}")
+    return f"{type(node).__name__}({', '.join(parts)})"
+
+
+def test_node_dunders_match_the_dataclass_ones():
+    e = parse("-(x + 2.5) * sin(y)^2")
+    assert repr(e.root) == _dataclass_repr(e.root)
+    assert repr(e) == f"Expression(root={_dataclass_repr(e.root)}, source={e.source!r})"
+    assert e == parse("-(x + 2.5) * sin(y)^2")
+    assert e != parse("-(x + 2.5) * sin(y)^3")
+    assert e.root.left != e.root.right and e.root != "text"
+    assert len({e, parse("-(x + 2.5) * sin(y)^2"), parse("x")}) == 2
+
+
+_STACK_SOURCES = [
+    "sin(x) * exp(y) - cos(x * y) / (1 + x^2)",
+    "tan(x) + log(abs(y) + 1) - sqrt(x * x + y * y)^3",
+    "x^-2 + abs(y)^0 - 2.5 / (x - y)",
+    "log(x) + sqrt(y) * exp(x / y)",
+    "1 / x^3 - sqrt(x) + tan(y)^-1",
+    "2 * 3 - 1e999 * 0 + x",
+]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                     min_size=1, max_size=12),
+       edges=st.lists(st.sampled_from([0.0, -0.0, 1e-200, 800.0]), max_size=3))
+def test_stacked_kernel_rows_equal_the_scalar_kernel(rows, edges):
+    """Every row of value_stack and jet_stack equals the scalar entry point
+    bit for bit; a failing stack raises the type, span and message of the
+    scalar error on its first failing row."""
+    x = np.array(rows + [(z, z) for z in edges] + [(z, 1.0) for z in edges])
+    for source in _STACK_SOURCES:
+        kernel = expr.Kernel([parse(source), parse("x * y")], ["x", "y"])
+        for jet, stacked, scalar in ((False, kernel.value_stack, kernel.value),
+                                     (True, kernel.jet_stack, kernel.jet)):
+            expected, failure = [], None
+            for row in x.tolist():
+                try:
+                    expected.append(scalar(*row))
+                except DomainError as err:
+                    failure = err
+                    break
+            if failure is not None:
+                with pytest.raises(DomainError) as err:
+                    stacked(x)
+                assert (type(err.value), err.value.span, str(err.value)) == \
+                    (type(failure), failure.span, str(failure))
+                continue
+            result = stacked(x)
+            for k, want in enumerate(expected):
+                if jet:
+                    assert _same_bits(result[0][k], want[0])
+                    assert _same_bits(result[1][k], want[1])
+                else:
+                    assert _same_bits(result[k], want)
+
+
+def test_stacked_kernel_of_no_rows_and_constants():
+    kernel = expr.Kernel([parse("2.5"), parse("x - 1e999")], ["x"])
+    values, partials = kernel.jet_stack(np.zeros((0, 1)))
+    assert values.shape == (0, 2) and partials.shape == (0, 2, 1)
+    values, partials = kernel.jet_stack(np.array([[1.0], [2.0]]))
+    assert np.array_equal(values, [[2.5, -math.inf], [2.5, -math.inf]])
+    assert np.array_equal(partials, [[[0.0], [1.0]], [[0.0], [1.0]]])
+    with pytest.raises(DomainError) as err:
+        expr.Kernel([parse("1/0 + x")], ["x"]).value_stack(np.ones((3, 1)))
+    assert err.value.reason == "division by zero"
 
 
 @pytest.mark.parametrize("name", ["__import__('os')", "a b", "x0", "_E", "v1"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactkit import numkernel
 from contactkit.geometry import ChartField
@@ -48,6 +49,37 @@ def test_rank_identity():
 
 def test_rank_proportional_rows():
     assert numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+
+
+def _matrix(kind: str, rank: int, m: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "deficient":  # a product through ``rank`` inner dimensions
+        return rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    return rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(0, 4), n=st.integers(1, 6), count=st.integers(0, 5),
+       kinds=st.lists(st.tuples(st.sampled_from(["random", "zero", "deficient"]),
+                               st.integers(0, 3), st.integers(0, 2**31)),
+                      min_size=5, max_size=5))
+def test_stacked_rank_equals_the_per_matrix_rank(m, n, count, kinds):
+    """One stacked SVD gives every matrix the rank it has on its own, which
+    is also the count numpy's matrix_rank makes with the same cutoff."""
+    stack = np.array([_matrix(kind, min(rank, m, n), m, n, seed)
+                      for kind, rank, seed in kinds[:count]]).reshape(count, m, n)
+    ranks = numerical_rank(stack)
+    assert ranks.shape == (count,) and ranks.dtype.kind == "i"
+    for a, rank in zip(stack, ranks):
+        assert numerical_rank(a) == rank
+        if a.size:
+            top = np.linalg.svd(a, compute_uv=False)[0]
+            assert rank == np.linalg.matrix_rank(a, tol=1e-9 * top)
+        else:
+            assert rank == 0
+    assert numerical_rank(stack.reshape(1, count, m, n)).shape == (1, count)
 
 
 def test_grad_coordinate():
