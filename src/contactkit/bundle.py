@@ -20,7 +20,8 @@ and jets, stacked frames, fields, momentum ratios and ranks, one stacked
 call per block, so a sweep's intermediates stay bounded.  A single point
 is a stack of one.  A block that raises is classified again one row at a
 time, so the first failing row raises exactly the error a per-point call
-raises on it.
+raises on it.  ``validate_atlas`` and ``validate_section`` take each
+overlap's samples as one stack the same way.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import numkernel
 from .errors import ContactKitError
-from .expr import DomainError, Expression, divide, linear_combination
-from .geometry import (Chart, ChartField, Point, TangentVector, alpha_components, frame_at,
+from .expr import DomainError, Expression, Kernel, divide, linear_combination
+from .geometry import (Chart, ChartField, Point, TangentVector, _by_blocks, frame_at,
                        frame_stack)
 from .jacobi import _field_components, bracket
 
@@ -95,6 +96,7 @@ class Atlas:
             if len(ov.forward) != self.charts[ov.dst].dim:
                 raise ValueError(f"overlap {ov.src}->{ov.dst}: map has wrong arity")
             self.overlaps[(ov.src, ov.dst)] = ov
+        self._maps: dict[tuple[str, str], Kernel] = {}
 
     @property
     def chart_ids(self) -> tuple[str, ...]:
@@ -112,30 +114,39 @@ class Atlas:
     def neighbors(self, chart_id: str) -> tuple[str, ...]:
         return tuple(dst for (src, dst) in self.overlaps if src == chart_id)
 
-    def map_coords(self, src: str, dst: str, x) -> np.ndarray:
+    def _overlap(self, src: str, dst: str) -> Overlap:
         ov = self.overlaps.get((src, dst))
         if ov is None:
             raise OutOfAtlas(f"no overlap {src!r} -> {dst!r}")
-        env = self.charts[src].bindings(x)
-        return np.array([e.eval(env) for e in ov.forward])
+        return ov
+
+    def map_coords(self, src: str, dst: str, x) -> np.ndarray:
+        """Destination coordinates of one point or of each row of a stack,
+        from one kernel per overlap over its whole map."""
+        ov = self._overlap(src, dst)
+        kernel = self._maps.get((src, dst))
+        if kernel is None:
+            kernel = self._maps[(src, dst)] = Kernel(ov.forward, self.charts[src].names)
+        x = np.asarray(x, dtype=float)
+        return kernel.value_stack(x) if x.ndim == 2 else np.array(kernel.value(*x.tolist()))
 
     def transfer(self, point: Point, dst: str) -> Point:
         if point.chart == dst:
             return point
         return self.chart(dst).point(self.map_coords(point.chart, dst, point.coords))
 
-    def factor_at(self, src: str, dst: str, x) -> float:
-        ov = self.overlaps.get((src, dst))
-        if ov is None:
-            raise OutOfAtlas(f"no overlap {src!r} -> {dst!r}")
-        return ov.factor.eval(self.charts[src].bindings(x))
+    def factor_at(self, src: str, dst: str, x):
+        """The factor at one point (a float) or at each row of a stack."""
+        return self.charts[src].evaluate(self._overlap(src, dst).factor, x)
 
     def transition_jacobian(self, src: str, dst: str, x) -> np.ndarray:
-        """Matrix ``J[m, l] = d (dst coord m) / d (src coord l)`` at ``x``."""
-        ov = self.overlaps.get((src, dst))
-        if ov is None:
-            raise OutOfAtlas(f"no overlap {src!r} -> {dst!r}")
+        """Matrix ``J[m, l] = d (dst coord m) / d (src coord l)`` at ``x``, or
+        one per row of a stack."""
+        ov = self._overlap(src, dst)
         src_chart = self.charts[src]
+        if np.ndim(x) == 2:
+            return np.stack([ChartField(src_chart, e).gradient_stack(x) for e in ov.forward],
+                            axis=1)
         env = src_chart.bindings(x)
         return np.array([e.gradient(env, src_chart.names) for e in ov.forward])
 
@@ -235,11 +246,16 @@ class AtlasReport:
         return max(values) if values else 0.0
 
 
-def _pullback_form(atlas: Atlas, src: str, dst: str, x) -> np.ndarray:
-    y = atlas.map_coords(src, dst, x)
-    b = alpha_components(atlas.charts[dst], y)
-    jac = atlas.transition_jacobian(src, dst, x)
-    return jac.T @ b
+def _worst(values: np.ndarray, samples: np.ndarray,
+           start: float = 0.0) -> tuple[float, np.ndarray | None]:
+    """The largest of ``values`` above ``start`` with its sample, the first
+    one on ties, as the loop ``if v > worst: worst, where = v, x`` keeps it
+    (NaN never wins); ``(start, None)`` when none is above."""
+    v = np.where(np.isnan(values), -np.inf, values)
+    k = int(np.argmax(v)) if len(v) else 0
+    if len(v) and v[k] > start:
+        return float(values[k]), samples[k]
+    return start, None
 
 
 def validate_atlas(atlas: Atlas,
@@ -248,87 +264,82 @@ def validate_atlas(atlas: Atlas,
                    roundtrip_tol: float = 1e-9) -> AtlasReport:
     """Check the gluing data on the stored overlap samples: coordinate maps
     invert each other, the local forms match through the factors, and the
-    factors multiply to one around every triple overlap."""
+    factors multiply to one around every triple overlap.  Each overlap's
+    samples are one stack."""
     records: list[CheckRecord] = []
     for (src, dst), ov in atlas.overlaps.items():
         subject = f"{src}->{dst}"
-        src_chart = atlas.charts[src]
-        worst_rt = 0.0
-        worst_form = 0.0
-        where_rt = where_form = None
+        src_chart, dst_chart = atlas.charts[src], atlas.charts[dst]
         if (dst, src) not in atlas.overlaps:
             records.append(CheckRecord("roundtrip", subject, np.inf, False))
             continue
         if not ov.samples:
             records.append(CheckRecord("overlap-samples", subject, np.inf, False))
             continue
-        for x in ov.samples:
-            x = np.asarray(x, dtype=float)
+
+        def run(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             y = atlas.map_coords(src, dst, x)
             back = atlas.map_coords(dst, src, y)
-            rt = float(np.max(np.abs(src_chart.shortest_arc_delta(back, x))))
-            if rt > worst_rt:
-                worst_rt, where_rt = rt, x
-            a = alpha_components(src_chart, x)
-            g = ov.factor.eval(src_chart.bindings(x))
-            form = float(np.max(np.abs(a - g * _pullback_form(atlas, src, dst, x))))
-            if form > worst_form:
-                worst_form, where_form = form, x
+            rt = np.max(np.abs(src_chart.shortest_arc_delta(back, x)), axis=1)
+            a = src_chart.alpha_kernel.value_stack(x)
+            g = atlas.factor_at(src, dst, x)
+            b = dst_chart.alpha_kernel.value_stack(y)
+            pulled = (atlas.transition_jacobian(src, dst, x).transpose(0, 2, 1)
+                      @ b[..., None])[..., 0]
+            return rt, np.max(np.abs(a - g[:, None] * pulled), axis=1)
+
+        x = np.array(ov.samples, dtype=float).reshape(-1, src_chart.dim)
+        rt, form = map(np.concatenate, zip(*_by_blocks(run, x)))
+        worst_rt, where_rt = _worst(rt, x)
+        worst_form, where_form = _worst(form, x)
         records.append(CheckRecord("roundtrip", subject, worst_rt,
                                    worst_rt < roundtrip_tol, where_rt))
         records.append(CheckRecord("form-compatibility", subject, worst_form,
                                    worst_form < form_tol, where_form))
     for (i, j, k) in atlas.triple_ids():
-        subject = f"{i},{j},{k}"
-        worst = 0.0
-        where = None
-        tested = 0
-        for x in atlas.overlaps[(i, j)].samples:
-            x = np.asarray(x, dtype=float)
-            try:
-                yj = atlas.map_coords(i, j, x)
-                yk = atlas.map_coords(i, k, x)
-                if not (atlas.charts[j].contains(yj) and atlas.charts[k].contains(yk)):
-                    continue
-                # both orientations together exercise every directed factor
-                forward = (atlas.factor_at(i, j, x)
-                           * atlas.factor_at(j, k, yj)
-                           * atlas.factor_at(k, i, yk))
-                backward = (atlas.factor_at(i, k, x)
-                            * atlas.factor_at(k, j, yk)
-                            * atlas.factor_at(j, i, yj))
-            except (DomainError, OutOfAtlas):
-                continue
-            tested += 1
-            dev = max(abs(forward - 1.0), abs(backward - 1.0))
-            if dev > worst:
-                worst, where = dev, x
-        if tested:
-            records.append(CheckRecord("cocycle", subject, worst,
+
+        def cocycle(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The rows whose images lie in both charts, with their deviations."""
+            yj = atlas.map_coords(i, j, x)
+            yk = atlas.map_coords(i, k, x)
+            inside = atlas.charts[j].contains(yj) & atlas.charts[k].contains(yk)
+            x, yj, yk = x[inside], yj[inside], yk[inside]
+            # both orientations together exercise every directed factor
+            forward = (atlas.factor_at(i, j, x) * atlas.factor_at(j, k, yj)
+                       * atlas.factor_at(k, i, yk))
+            backward = (atlas.factor_at(i, k, x) * atlas.factor_at(k, j, yk)
+                        * atlas.factor_at(j, i, yj))
+            up, down = np.abs(forward - 1.0), np.abs(backward - 1.0)
+            return x, np.where(down > up, down, up)
+
+        x = np.array(atlas.overlaps[(i, j)].samples, dtype=float).reshape(-1, atlas.charts[i].dim)
+        # a sample whose images leave a domain is left out
+        parts = _by_blocks(cocycle, x, skip=(DomainError, OutOfAtlas))
+        tested, dev = map(np.concatenate, zip(*parts)) if parts else ((), ())
+        if len(tested):
+            worst, where = _worst(dev, tested)
+            records.append(CheckRecord("cocycle", f"{i},{j},{k}", worst,
                                        worst < cocycle_tol, where))
     return AtlasReport(records)
 
 
 def validate_section(atlas: Atlas, s: Section, tol: float = 1e-9) -> AtlasReport:
     """Compatibility ``s_src = factor * (s_dst after the coordinate map)`` on
-    every overlap where both representatives exist, relative error."""
+    every overlap where both representatives exist, relative error, over
+    the overlap's samples as one stack."""
     records: list[CheckRecord] = []
     for (src, dst), ov in atlas.overlaps.items():
         if src not in s.local or dst not in s.local:
             continue
-        src_chart = atlas.charts[src]
-        dst_chart = atlas.charts[dst]
-        worst = 0.0
-        where = None
-        for x in ov.samples:
-            x = np.asarray(x, dtype=float)
-            left = s.local[src].eval(src_chart.bindings(x))
+
+        def run(x: np.ndarray) -> np.ndarray:
+            left = atlas.charts[src].evaluate(s.local[src], x)
             y = atlas.map_coords(src, dst, x)
-            right = ov.factor.eval(src_chart.bindings(x)) \
-                * s.local[dst].eval(dst_chart.bindings(y))
-            dev = abs(left - right) / (1.0 + abs(left))
-            if dev > worst:
-                worst, where = dev, x
+            right = atlas.factor_at(src, dst, x) * atlas.charts[dst].evaluate(s.local[dst], y)
+            return np.abs(left - right) / (1.0 + np.abs(left))
+
+        x = np.array(ov.samples, dtype=float).reshape(-1, atlas.charts[src].dim)
+        worst, where = _worst(np.concatenate(_by_blocks(run, x)), x) if len(x) else (0.0, None)
         records.append(CheckRecord("section-compatibility",
                                    f"{s.name}:{src}->{dst}", worst, worst < tol, where))
     return AtlasReport(records)
@@ -381,26 +392,6 @@ class MomentumValue:
 
     homogeneous: np.ndarray
     chart_index: int
-
-
-_BLOCK = 512  # rows per stacked block: bounds the intermediates (about 1 MB) of any sweep
-
-
-def _by_blocks(run: Callable[[np.ndarray], object], x: np.ndarray) -> list:
-    """``run`` over consecutive blocks of the rows of ``x`` (at least one
-    block, empty for an empty stack).  A block that raises is run again one
-    row at a time, so the first failing row raises what a per-point call
-    raises."""
-    parts = []
-    for start in range(0, max(len(x), 1), _BLOCK):
-        block = x[start:start + _BLOCK]
-        try:
-            parts.append(run(block))
-        except (ContactKitError, np.linalg.LinAlgError):
-            for k in range(len(block)):
-                run(block[k:k + 1])
-            raise
-    return parts
 
 
 def _stack_of(atlas: Atlas, point: Point) -> tuple[Chart, np.ndarray]:

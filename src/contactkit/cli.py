@@ -8,8 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -18,13 +20,14 @@ from .dynamics import (coordinate_circle, flow, frequencies, loop_integral)
 from .errors import ContactKitError
 from .geometry import Point
 from .models import (ValidationError, canonical, from_config, primer, primer2,
-                     validate_model)
+                     validate_model)  # noqa: F401 - perfbench/spans.py traces this name
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_INTEGRATOR = 3
 MAX_GRID_POINTS = 10**6  # largest classify --grid sweep
+CSV_BLOCK = 4096  # classify rows formatted per write
 
 
 def _fmt(x: float) -> str:
@@ -155,23 +158,22 @@ def _load_model(cfg: RunConfig):
     return model.reduced if cfg.reduced else model
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    Path(path).write_text(text)
+def _output(path: str | None):
+    return open(path, "w") if path is not None else nullcontext(sys.stdout)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _output(path) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> None:
+    """One line per row: strings as they are, numbers at full precision."""
+    with _output(path) as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
+                               for cell in row) + "\n")
 
 
 def _sidecar(path: str, suffix: str) -> str:
@@ -183,8 +185,7 @@ def cmd_check(cfg: RunConfig) -> int:
     failure = None
     records = []
     try:
-        model = _load_model(cfg)
-        records = validate_model(model, strict=False)
+        records = _load_model(cfg).records  # the load validated the model
     except ValidationError as exc:
         failure = {"check": exc.check, "subject": exc.subject,
                    "residual": exc.residual,
@@ -240,7 +241,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         events["rows"] = [[r[0], r[1], *map(float, r[2:])] for r in rows]
         _write_json(cfg.out, events)
     else:
-        _write_text(cfg.out, _csv_text(header, rows))
+        _write_csv(cfg.out, header, rows)
         if cfg.out is not None:
             _write_json(_sidecar(cfg.out, ".events.json"), events)
     return EXIT_OK
@@ -280,19 +281,19 @@ def cmd_classify(cfg: RunConfig) -> int:
 
     header = list(chart.names) + ["stratum", "dimE", "dimF"]
     labels = [s.value for s in Stratum]
-    rows = [list(row) + [labels[code], str(e), str(f)]
-            for row, code, e, f in zip(coords, strata.stratum.tolist(),
-                                       strata.dimE.tolist(), strata.dimF.tolist())]
+    # boxed a block at a time: a sweep's rows are never all in memory
+    rows = ([*row, labels[code], e, f] for start in range(0, len(coords), CSV_BLOCK)
+            for row, code, e, f in zip(*(a[start:start + CSV_BLOCK].tolist() for a in (
+                coords, strata.stratum, strata.dimE, strata.dimF))))
     counts = {s.value: n for s, n in strata.counts().items()}
     summary = {"config": cfg.as_dict(), "chart": chart.id, "counts": counts,
-               "points": len(rows)}
+               "points": len(coords)}
     if cfg.format == "json":
         summary["header"] = header
-        summary["rows"] = [[*map(float, r[:-3]), r[-3], int(r[-2]), int(r[-1])]
-                           for r in rows]
+        summary["rows"] = list(rows)
         _write_json(cfg.out, summary)
     else:
-        _write_text(cfg.out, _csv_text(header, rows))
+        _write_csv(cfg.out, header, rows)
         if cfg.out is not None:
             _write_json(_sidecar(cfg.out, ".summary.json"), summary)
     return EXIT_OK

@@ -21,8 +21,11 @@ annihilator of ``Z``, and ``P alpha = 0``.
 :func:`frame_stack` builds the frames of a whole stack of points, one row
 each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
 same condition gate applied per row.  A :class:`ContactFrame` is that
-inverse on a stack of one, so there is one frame path.  ``Chart.wrap`` and
-``Chart.contains`` take one point or a stack.
+inverse on a stack of one, so there is one frame path.  The methods of
+:class:`Chart` and :func:`contact_check` take one point or a stack too; the
+check runs a least-squares Reeb solve per row and everything else stacked.
+:func:`_by_blocks` runs a failing block again row by row, so a stack raises
+what its first failing row raises on its own.
 """
 
 from __future__ import annotations
@@ -35,12 +38,36 @@ import numpy as np
 
 from . import numkernel
 from .errors import ContactKitError
-from .expr import Expression, Kernel, parse
+from .expr import Expression, Kernel, UnboundName, parse
 
 TWO_PI = 2.0 * np.pi
 
 # membership and sampling default for axes that are unbounded
 _DEFAULT_SAMPLE_HALF_WIDTH = 2.0
+
+_BLOCK = 512  # rows per stacked block: bounds the intermediates (about 1 MB) of any sweep
+
+
+def _by_blocks(run: Callable[[np.ndarray], object], x: np.ndarray, skip=()) -> list:
+    """``run`` over consecutive blocks of the rows of ``x`` (at least one
+    block, empty for an empty stack).  A block that raises anything, a
+    caller's callable included, is run again one row at a time: a row that
+    raises one of ``skip`` is left out, and any other failure raises for
+    the first row that has it, as it would for that row alone."""
+    parts = []
+    for start in range(0, max(len(x), 1), _BLOCK):
+        block = x[start:start + _BLOCK]
+        try:
+            parts.append(run(block))
+        except Exception:
+            for k in range(len(block)):
+                try:
+                    parts.append(run(block[k:k + 1]))
+                except skip:
+                    pass
+            if not skip:
+                raise
+    return parts
 
 
 class OutOfDomain(ContactKitError):
@@ -104,6 +131,17 @@ class Chart:
 
     def bindings(self, x: np.ndarray) -> dict[str, float]:
         return dict(zip(self.names, map(float, x)))
+
+    def evaluate(self, e: Expression, x):
+        """``e`` at one point or at each row of a stack, as ``e.eval`` of
+        the row's bindings computes it (an unbound name included)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return e.eval(self.bindings(x))
+        missing = [name for name in e.arguments if name not in self.names]
+        if missing:
+            raise UnboundName(missing[0])
+        return e.kernel.value_stack(x[:, [self.names.index(n) for n in e.arguments]])[:, 0]
 
     @cached_property
     def alpha_kernel(self) -> Kernel:
@@ -172,11 +210,11 @@ class Chart:
         return tuple(box)
 
     def shortest_arc_delta(self, a, b) -> np.ndarray:
-        """Componentwise ``a - b`` using the shortest arc on periodic axes."""
+        """Componentwise ``a - b`` (points or stacks) using the shortest arc on
+        periodic axes."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        for i, per in enumerate(self.periodic):
-            if per:
-                d[i] = (d[i] + np.pi) % TWO_PI - np.pi
+        for i in self._axes[0]:
+            d[..., i] = (d[..., i] + np.pi) % TWO_PI - np.pi
         return d
 
 
@@ -428,50 +466,63 @@ def decompose_vector(chart: Chart, x, v) -> tuple[float, TangentVector]:
 
 @dataclass(frozen=True)
 class ContactCheck:
+    """Nondegeneracy at one point; for a stack, ``ok``, ``det_proxy`` and
+    ``rank`` hold one entry per row."""
+
     ok: bool
     det_proxy: float
     rank: int
     expected_rank: int
 
 
-def horizontal_basis(alpha: np.ndarray, reeb: np.ndarray) -> np.ndarray:
-    """Rows span ker alpha for a nonzero ``alpha``: the coordinate directions
-    pushed into the hyperplane along the Reeb direction, taken in
-    coordinate order."""
-    dim = alpha.shape[0]
-    pairing = float(alpha @ reeb)
-    if abs(pairing) > 1e-8:
-        candidates = np.eye(dim) - np.outer(alpha, reeb / pairing)
-    else:
-        # no usable Reeb direction; fall back to the orthogonal complement
-        candidates = np.eye(dim) - np.outer(alpha, alpha) / float(alpha @ alpha)
-    rows, ortho = [], []
-    for v in candidates:
-        w = v.copy()
-        for u in ortho:
-            w -= (w @ u) * u
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-10:
-            rows.append(v)
-            ortho.append(w / norm)
-        if len(rows) == dim - 1:
-            break
-    return np.array(rows) if rows else np.zeros((0, dim))
+def horizontal_basis(alpha: np.ndarray, reeb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the ``(N, dim)`` stacks: the coordinate directions pushed
+    into ker alpha along the Reeb direction (along alpha where that pairs to
+    nothing), kept in order while independent.  Returns them as
+    ``(N, dim - 1, dim)``, zero past each row's count, and the counts."""
+    n, dim = alpha.shape
+    pairing = numkernel.row_dot(alpha, reeb)
+    with np.errstate(all="ignore"):
+        candidates = np.eye(dim) - np.where(
+            (np.abs(pairing) > 1e-8)[:, None, None],
+            alpha[:, :, None] * (reeb / pairing[:, None])[:, None, :],
+            alpha[:, :, None] * alpha[:, None, :] / numkernel.row_dot(alpha, alpha)[:, None, None])
+        basis, units = np.zeros((2, n, dim - 1, dim))  # units: Gram-Schmidt of the kept rows
+        count, rows = np.zeros(n, dtype=int), np.arange(n)
+        for v in candidates.transpose(1, 0, 2):
+            w = v
+            for j, u in enumerate(units.transpose(1, 0, 2)):
+                w = np.where((count > j)[:, None], w - numkernel.row_dot(w, u)[:, None] * u, w)
+            norm = np.sqrt(numkernel.row_dot(w, w))
+            take = (norm > 1e-10) & (count < dim - 1)
+            basis[rows[take], count[take]] = v[take]
+            units[rows[take], count[take]] = w[take] / norm[take, None]
+            count += take
+    return basis, count
 
 
 def contact_check(chart: Chart, x, tol: float = numkernel.DEFAULT_RANK_TOL) -> ContactCheck:
-    """Sampled nondegeneracy test: rank of ``d alpha`` restricted to ker alpha."""
-    x = _check_domain(chart, x)
-    a, omega = _alpha_jet(chart, x)
+    """Sampled nondegeneracy test: rank of ``d alpha`` restricted to ker
+    alpha, at one point or at each row of an ``(N, dim)`` stack."""
     expected = chart.dim - 1
-    if float(np.linalg.norm(a)) < 1e-14:
-        return ContactCheck(False, 0.0, 0, expected)
-    # least squares, not a ContactFrame: a degenerate form is a result here
-    reeb = np.linalg.lstsq(np.vstack([omega, a]), np.eye(chart.dim + 1)[-1], rcond=None)[0]
-    basis = horizontal_basis(a, reeb)
-    if basis.shape[0] < expected:
-        return ContactCheck(False, 0.0, basis.shape[0], expected)
-    restricted = basis @ omega @ basis.T
-    rank = numkernel.numerical_rank(restricted, tol)
-    det = abs(float(np.linalg.det(restricted)))
-    return ContactCheck(rank == expected, det, rank, expected)
+    target = np.eye(chart.dim + 1)[-1]
+
+    def run(x: np.ndarray) -> tuple[np.ndarray, ...]:
+        a, jac = chart.alpha_kernel.jet_stack(_check_domain(chart, x))
+        omega = jac.transpose(0, 2, 1) - jac
+        live = ~(np.sqrt(numkernel.row_dot(a, a)) < 1e-14)
+        # least squares per row, not a frame: a degenerate form is a result here
+        system, reeb = np.concatenate([omega, a[:, None]], axis=1), np.zeros(a.shape)
+        for k in np.flatnonzero(live):
+            reeb[k] = np.linalg.lstsq(system[k], target, rcond=None)[0]
+        basis, count = horizontal_basis(a, reeb)
+        full = live & (count == expected)
+        restricted = np.where(full[:, None, None], basis @ omega @ basis.transpose(0, 2, 1), 0.0)
+        rank = np.where(full, numkernel.numerical_rank(restricted, tol), count * live)
+        return full & (rank == expected), np.where(full, abs(np.linalg.det(restricted)), 0.0), rank
+
+    stack = np.asarray(x, dtype=float).reshape(-1, chart.dim)
+    ok, det, rank = map(np.concatenate, zip(*_by_blocks(run, stack)))
+    if np.ndim(x) == 1:
+        return ContactCheck(bool(ok[0]), float(det[0]), int(rank[0]), expected)
+    return ContactCheck(ok, det, rank, expected)

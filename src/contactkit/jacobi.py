@@ -21,8 +21,8 @@ import numpy as np
 from . import numkernel
 from .errors import ContactKitError
 from .expr import Expression, multiply
-from .geometry import (Chart, ContactFrame, FieldLike, TangentVector, as_field,
-                       frame_at)
+from .geometry import (Chart, ContactFrame, FieldLike, FrameStack, TangentVector, as_field,
+                       frame_at, frame_stack)
 
 
 class PreconditionFailed(ContactKitError):
@@ -56,7 +56,16 @@ def ham_field(chart: Chart, f: FieldLike, x) -> TangentVector:
     return HamiltonianField(chart, f).at(x)
 
 
-def bracket(chart: Chart, f: FieldLike, g: FieldLike, x) -> float:
+def bracket(chart: Chart, f: FieldLike, g: FieldLike, x, frames: FrameStack | None = None):
+    """``[f, g]`` at the point ``x``, or at each row of an ``(N, dim)`` stack
+    for expression or chart-field arguments, on the stack's ``frames`` if given."""
+    if np.ndim(x) == 2:
+        frames = frame_stack(chart, x) if frames is None else frames
+        ff, gf = as_field(chart, f), as_field(chart, g)
+        df, fv = ff.gradient_stack(x), ff.value_stack(x)
+        dg, gv = gf.gradient_stack(x), gf.value_stack(x)
+        xf = frames.fields(fv[:, None], df[:, None])[:, 0]
+        return numkernel.row_dot(dg, xf) - gv * numkernel.row_dot(df, frames.reeb)
     fr = frame_at(chart, x)
     ff = as_field(chart, f)
     gf = as_field(chart, g)

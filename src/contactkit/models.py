@@ -14,26 +14,30 @@ bundle of an n-torus times a circle.
 Every constructor validates its model at load time: atlas gluing
 identities, sampled contact nondegeneracy, section compatibility,
 commutation residuals of the designated family, and membership of the
-Hamiltonian in the designated span.
+Hamiltonian in the designated span.  Each check takes its samples of a
+chart or an overlap as one stack (one frame stack serves every bracket of a
+chart); a check that raises runs again point by point in the order of a
+per-point loop, and so raises what that loop would.  The records stay on
+the model, and primer2's reduced view is validated on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import jsonschema
 import numpy as np
 import yaml
 
 from . import expr
-from .bundle import (Atlas, CheckRecord, Overlap, Section, combine_sections,
-                     validate_atlas, validate_section)
+from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _worst,
+                     combine_sections, validate_atlas, validate_section)
 from .errors import ContactKitError
 from .expr import Expression, parse
-from .geometry import TWO_PI, Chart, contact_check
+from .geometry import TWO_PI, Chart, contact_check, frame_stack
 from .jacobi import bracket
 
 CONTACT_SAMPLES_PER_CHART = 256
@@ -72,7 +76,10 @@ class Model:
     """A validated atlas with its symmetry sections.
 
     ``sections[0 .. r]`` is the designated commuting subfamily; the
-    default Hamiltonian lies in its span.
+    default Hamiltonian lies in its span.  ``records`` are the checks run at
+    load time (None for a model built without validation).  ``reduced`` is
+    the view ``reduced_view`` builds, if any, built on first use and then
+    validated when this model was.
     """
 
     name: str
@@ -81,7 +88,14 @@ class Model:
     r: int
     hamiltonian: Section | None
     meta: dict = field(default_factory=dict)
-    reduced: "Model | None" = None
+    records: list[CheckRecord] | None = field(default=None, repr=False, compare=False)
+    reduced_view: Callable[[], "Model"] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def reduced(self) -> "Model | None":
+        if self.reduced_view is None:
+            return None
+        return _validated(self.reduced_view(), self.records is not None)
 
     @property
     def p(self) -> int:
@@ -119,6 +133,52 @@ def _chart_samples(chart: Chart, count: int) -> np.ndarray:
     return lo + unit * (hi - lo)
 
 
+def _contact_record(chart: Chart) -> CheckRecord:
+    """The least determinant proxy over the chart's samples, or the first
+    degenerate sample."""
+    samples = _chart_samples(chart, CONTACT_SAMPLES_PER_CHART)
+    try:
+        result = contact_check(chart, samples)
+    except Exception:
+        # point by point: the test stops at the first degenerate point, so a
+        # later point's failure is never reached
+        for x in samples:
+            result = contact_check(chart, x)
+            if not result.ok:
+                return CheckRecord("contact-nondegeneracy", chart.id, result.det_proxy, False, x)
+        raise
+    if not result.ok.all():
+        k = int(np.argmin(result.ok))
+        return CheckRecord("contact-nondegeneracy", chart.id, float(result.det_proxy[k]),
+                           False, samples[k])
+    least, where = _worst(-result.det_proxy, samples, -np.inf)
+    return CheckRecord("contact-nondegeneracy", chart.id, -least, True, where)
+
+
+def _commutation_records(model: Model, chart: Chart, count: int,
+                         tol: float) -> list[CheckRecord]:
+    """The largest bracket of each designated section with each section on
+    the chart's samples: one stack, one frame stack for every pair."""
+    samples = _chart_samples(chart, count)
+    pairs = [(model.sections[i], s) for i in range(model.r + 1) for s in model.sections]
+    try:
+        frames = frame_stack(chart, samples)
+        values = [bracket(chart, si.on(chart.id), sj.on(chart.id), samples, frames)
+                  for si, sj in pairs]
+    except Exception:
+        # pair by pair and point by point, the order of a per-point loop
+        for si, sj in pairs:
+            for n in range(len(samples)):
+                bracket(chart, si.on(chart.id), sj.on(chart.id), samples[n:n + 1])
+        raise
+    records = []
+    for (si, sj), value in zip(pairs, values):
+        worst, where = _worst(np.abs(value), samples)
+        records.append(CheckRecord("commutation", f"[{si.name},{sj.name}] on {chart.id}",
+                                   worst, worst <= tol, where))
+    return records
+
+
 def validate_model(model: Model,
                    form_tol: float = 1e-9,
                    section_tol: float = 1e-9,
@@ -131,46 +191,17 @@ def validate_model(model: Model,
     """
     records: list[CheckRecord] = []
     records.extend(validate_atlas(model.atlas, form_tol=form_tol).records)
-
-    degenerate: set[str] = set()
-    for chart in model.atlas.charts.values():
-        worst = (np.inf, None)
-        ok = True
-        for x in _chart_samples(chart, CONTACT_SAMPLES_PER_CHART):
-            result = contact_check(chart, x)
-            if not result.ok:
-                worst = (result.det_proxy, x)
-                ok = False
-                degenerate.add(chart.id)
-                break
-            if result.det_proxy < worst[0]:
-                worst = (result.det_proxy, x)
-        records.append(CheckRecord("contact-nondegeneracy", chart.id,
-                                   worst[0], ok, worst[1]))
-
+    contact = [_contact_record(chart) for chart in model.atlas.charts.values()]
+    records.extend(contact)
     for s in model.sections:
         records.extend(validate_section(model.atlas, s, tol=section_tol).records)
 
     # designated sections must commute with the whole family; brackets only
     # make sense on charts that passed the nondegeneracy test
     per_chart = max(1, COMMUTATION_SAMPLES // max(1, len(model.atlas.charts)))
-    for chart in model.atlas.charts.values():
-        if chart.id in degenerate:
-            continue
-        samples = _chart_samples(chart, per_chart)
-        for i in range(model.r + 1):
-            si = model.sections[i]
-            for j in range(len(model.sections)):
-                sj = model.sections[j]
-                worst = 0.0
-                where = None
-                for x in samples:
-                    value = abs(bracket(chart, si.on(chart.id), sj.on(chart.id), x))
-                    if value > worst:
-                        worst, where = value, x
-                records.append(CheckRecord("commutation",
-                                           f"[{si.name},{sj.name}] on {chart.id}",
-                                           worst, worst <= commutation_tol, where))
+    for chart, nondegenerate in zip(model.atlas.charts.values(), contact):
+        if nondegenerate.ok:
+            records.extend(_commutation_records(model, chart, per_chart, commutation_tol))
 
     if model.hamiltonian is not None:
         records.append(_hamiltonian_span_record(model))
@@ -182,21 +213,23 @@ def validate_model(model: Model,
     return records
 
 
+def _validated(model: Model, validate: bool = True) -> Model:
+    if validate:
+        model.records = validate_model(model)
+    return model
+
+
 def _hamiltonian_span_record(model: Model, tol: float = 1e-8) -> CheckRecord:
     """Least-squares fit of the Hamiltonian by the designated sections on
     sampled points; the fit residual must vanish."""
     rows = []
-    rhs = []
     for chart in model.atlas.charts.values():
-        env_points = _chart_samples(chart, 16)
         h_expr = model.hamiltonian.on(chart.id)
-        basis = [s.on(chart.id) for s in model.sections[: model.r + 1]]
-        for x in env_points:
-            env = chart.bindings(x)
-            rows.append([b.eval(env) for b in basis])
-            rhs.append(h_expr.eval(env))
-    a = np.array(rows)
-    b = np.array(rhs)
+        basis = [s.on(chart.id) for s in model.sections[: model.r + 1]] + [h_expr]
+        rows += _by_blocks(lambda x: np.column_stack([chart.evaluate(e, x) for e in basis]),
+                           _chart_samples(chart, 16))
+    table = np.concatenate(rows)
+    a, b = table[:, :-1], table[:, -1]
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.max(np.abs(a @ coeffs - b))) / (1.0 + float(np.max(np.abs(b))))
     return CheckRecord("hamiltonian-span", model.hamiltonian.name, residual,
@@ -227,9 +260,7 @@ def canonical(n: int, validate: bool = True) -> Model:
     unit = Section("one", {"canonical": expr.literal(1.0)})
     model = Model(name=f"canonical({n})", atlas=atlas, sections=(unit,), r=0,
                   hamiltonian=unit, meta={"n": n})
-    if validate:
-        validate_model(model)
-    return model
+    return _validated(model, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +412,7 @@ def primer(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
     model = Model(name=f"primer({n})", atlas=atlas, sections=sections, r=n - 1,
                   hamiltonian=hamiltonian,
                   meta={"n": n, "omegas": omegas, "f": str(f), "k": k})
-    if validate:
-        validate_model(model)
-    return model
+    return _validated(model, validate)
 
 
 def _reduced_view(n: int, omegas: Sequence[float], f: Expression) -> Model:
@@ -415,7 +444,8 @@ def primer2(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
 
     The profile may vanish; its zero set times the vanishing fiber ratios
     forms the common zero locus.  ``model.reduced`` carries the
-    single-chart cotangent-bundle view of the V_n chart.
+    single-chart cotangent-bundle view of the V_n chart, validated on first
+    use.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -432,11 +462,8 @@ def primer2(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
     model = Model(name=f"primer2({n})", atlas=atlas, sections=sections, r=n,
                   hamiltonian=hamiltonian,
                   meta={"n": n, "omegas": omegas, "f": str(f)},
-                  reduced=_reduced_view(n, omegas, f))
-    if validate:
-        validate_model(model)
-        validate_model(model.reduced)
-    return model
+                  reduced_view=lambda: _reduced_view(n, omegas, f))
+    return _validated(model, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +650,9 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
                         for j, t in enumerate(spec["map"]))
         factor = _parse_expr(spec["factor"], path + ".factor")
         samples = tuple(np.asarray(s, dtype=float) for s in spec.get("samples", ()))
+        if any(s.shape != (charts[spec["from"]].dim,) for s in samples):
+            raise SchemaError(path + ".samples", "each sample needs one value per "
+                                                 "coordinate of the source chart")
         ov = Overlap(src=spec["from"], dst=spec["to"], forward=forward,
                      factor=factor, samples=samples)
         if not ov.samples:
@@ -668,5 +698,4 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
     model = Model(name=name or "config-model", atlas=atlas,
                   sections=tuple(sections), r=r, hamiltonian=hamiltonian,
                   meta={"source": "config"})
-    validate_model(model)
-    return model
+    return _validated(model)

@@ -59,6 +59,13 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the last axis per leading index, bit for bit the 1-D
+    product: a stacked ``(..., 1, d) @ (..., d, 1)`` matmul calls the same dot
+    routine with the same strides (``einsum`` or a 2-D gemv may round apart)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def grad(field, x: np.ndarray, step: float | None = None) -> np.ndarray:
     """Gradient covector of a scalar field at ``x``."""
     exact = getattr(field, "gradient", None)

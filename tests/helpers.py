@@ -2,7 +2,8 @@
 atlas, a random polynomial source, and independent oracles (a recursive
 dual-number evaluator, finite differences, the explicit canonical-chart
 bracket formula, the canonical flow equations, the contact field from its
-defining equations)."""
+defining equations, and the per-point validation, contact-check and
+quadrature loops the stacked ones replaced)."""
 
 import math
 
@@ -317,3 +318,267 @@ def contact_field_oracle(f, chart, x):
     df = partials(f, chart, x)
     rhs = np.concatenate([[reference_eval(f, env)], df - (df @ reeb) * alpha])
     return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference validation and quadrature: the per-point loops the stacked
+# checks replaced, kept verbatim as oracles (coordinate maps, factors and
+# section values go through ``Expression.eval`` one point at a time)
+
+def reference_map_coords(atlas, src, dst, x):
+    env = atlas.charts[src].bindings(x)
+    return np.array([e.eval(env) for e in atlas.overlaps[(src, dst)].forward])
+
+
+def reference_factor_at(atlas, src, dst, x):
+    return atlas.overlaps[(src, dst)].factor.eval(atlas.charts[src].bindings(x))
+
+
+def reference_shortest_arc_delta(chart, a, b):
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    for i, per in enumerate(chart.periodic):
+        if per:
+            d[i] = (d[i] + np.pi) % (2 * np.pi) - np.pi
+    return d
+
+
+def reference_horizontal_basis(alpha, reeb):
+    dim = alpha.shape[0]
+    pairing = float(alpha @ reeb)
+    if abs(pairing) > 1e-8:
+        candidates = np.eye(dim) - np.outer(alpha, reeb / pairing)
+    else:
+        candidates = np.eye(dim) - np.outer(alpha, alpha) / float(alpha @ alpha)
+    rows, ortho = [], []
+    for v in candidates:
+        w = v.copy()
+        for u in ortho:
+            w -= (w @ u) * u
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-10:
+            rows.append(v)
+            ortho.append(w / norm)
+        if len(rows) == dim - 1:
+            break
+    return np.array(rows) if rows else np.zeros((0, dim))
+
+
+def reference_contact_check(chart, x, tol=1e-9):
+    """``(ok, det_proxy, rank, expected_rank)`` at one point."""
+    from contactkit import numkernel
+    from contactkit.geometry import OutOfDomain
+    x = np.asarray(x, dtype=float)
+    if not chart.contains(x):
+        raise OutOfDomain(chart.id, x)
+    values, rows = chart.alpha_kernel.jet(*x.tolist())
+    grads = np.array(rows)
+    a, omega = np.array(values), grads.T - grads
+    expected = chart.dim - 1
+    if float(np.linalg.norm(a)) < 1e-14:
+        return (False, 0.0, 0, expected)
+    reeb = np.linalg.lstsq(np.vstack([omega, a]), np.eye(chart.dim + 1)[-1], rcond=None)[0]
+    basis = reference_horizontal_basis(a, reeb)
+    if basis.shape[0] < expected:
+        return (False, 0.0, basis.shape[0], expected)
+    restricted = basis @ omega @ basis.T
+    rank = numkernel.numerical_rank(restricted, tol)
+    det = abs(float(np.linalg.det(restricted)))
+    return (rank == expected, det, rank, expected)
+
+
+def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_tol=1e-9):
+    from contactkit.bundle import CheckRecord, OutOfAtlas
+    from contactkit.geometry import alpha_components
+    records = []
+    for (src, dst), ov in atlas.overlaps.items():
+        subject = f"{src}->{dst}"
+        src_chart = atlas.charts[src]
+        worst_rt = 0.0
+        worst_form = 0.0
+        where_rt = where_form = None
+        if (dst, src) not in atlas.overlaps:
+            records.append(CheckRecord("roundtrip", subject, np.inf, False))
+            continue
+        if not ov.samples:
+            records.append(CheckRecord("overlap-samples", subject, np.inf, False))
+            continue
+        for x in ov.samples:
+            x = np.asarray(x, dtype=float)
+            y = reference_map_coords(atlas, src, dst, x)
+            back = reference_map_coords(atlas, dst, src, y)
+            rt = float(np.max(np.abs(reference_shortest_arc_delta(src_chart, back, x))))
+            if rt > worst_rt:
+                worst_rt, where_rt = rt, x
+            a = alpha_components(src_chart, x)
+            g = ov.factor.eval(src_chart.bindings(x))
+            y = reference_map_coords(atlas, src, dst, x)
+            b = alpha_components(atlas.charts[dst], y)
+            env = src_chart.bindings(x)
+            jac = np.array([e.gradient(env, src_chart.names) for e in ov.forward])
+            form = float(np.max(np.abs(a - g * (jac.T @ b))))
+            if form > worst_form:
+                worst_form, where_form = form, x
+        records.append(CheckRecord("roundtrip", subject, worst_rt,
+                                   worst_rt < roundtrip_tol, where_rt))
+        records.append(CheckRecord("form-compatibility", subject, worst_form,
+                                   worst_form < form_tol, where_form))
+    for (i, j, k) in atlas.triple_ids():
+        subject = f"{i},{j},{k}"
+        worst = 0.0
+        where = None
+        tested = 0
+        for x in atlas.overlaps[(i, j)].samples:
+            x = np.asarray(x, dtype=float)
+            try:
+                yj = reference_map_coords(atlas, i, j, x)
+                yk = reference_map_coords(atlas, i, k, x)
+                if not (atlas.charts[j].contains(yj) and atlas.charts[k].contains(yk)):
+                    continue
+                forward = (reference_factor_at(atlas, i, j, x)
+                           * reference_factor_at(atlas, j, k, yj)
+                           * reference_factor_at(atlas, k, i, yk))
+                backward = (reference_factor_at(atlas, i, k, x)
+                            * reference_factor_at(atlas, k, j, yk)
+                            * reference_factor_at(atlas, j, i, yj))
+            except (DomainError, OutOfAtlas):
+                continue
+            tested += 1
+            dev = max(abs(forward - 1.0), abs(backward - 1.0))
+            if dev > worst:
+                worst, where = dev, x
+        if tested:
+            records.append(CheckRecord("cocycle", subject, worst, worst < cocycle_tol, where))
+    return records
+
+
+def reference_validate_section(atlas, s, tol=1e-9):
+    from contactkit.bundle import CheckRecord
+    records = []
+    for (src, dst), ov in atlas.overlaps.items():
+        if src not in s.local or dst not in s.local:
+            continue
+        src_chart = atlas.charts[src]
+        dst_chart = atlas.charts[dst]
+        worst = 0.0
+        where = None
+        for x in ov.samples:
+            x = np.asarray(x, dtype=float)
+            left = s.local[src].eval(src_chart.bindings(x))
+            y = reference_map_coords(atlas, src, dst, x)
+            right = ov.factor.eval(src_chart.bindings(x)) \
+                * s.local[dst].eval(dst_chart.bindings(y))
+            dev = abs(left - right) / (1.0 + abs(left))
+            if dev > worst:
+                worst, where = dev, x
+        records.append(CheckRecord("section-compatibility",
+                                   f"{s.name}:{src}->{dst}", worst, worst < tol, where))
+    return records
+
+
+def reference_hamiltonian_span(model, tol=1e-8):
+    from contactkit.bundle import CheckRecord
+    from contactkit.models import _chart_samples
+    rows = []
+    rhs = []
+    for chart in model.atlas.charts.values():
+        h_expr = model.hamiltonian.on(chart.id)
+        basis = [s.on(chart.id) for s in model.sections[: model.r + 1]]
+        for x in _chart_samples(chart, 16):
+            env = chart.bindings(x)
+            rows.append([b.eval(env) for b in basis])
+            rhs.append(h_expr.eval(env))
+    a = np.array(rows)
+    b = np.array(rhs)
+    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
+    residual = float(np.max(np.abs(a @ coeffs - b))) / (1.0 + float(np.max(np.abs(b))))
+    return CheckRecord("hamiltonian-span", model.hamiltonian.name, residual, residual < tol)
+
+
+def reference_validate_model(model, form_tol=1e-9, section_tol=1e-9, commutation_tol=1e-8,
+                             strict=True):
+    """The record list of the per-point ``validate_model`` loop."""
+    from contactkit.bundle import CheckRecord
+    from contactkit.jacobi import bracket
+    from contactkit.models import (COMMUTATION_SAMPLES, CONTACT_SAMPLES_PER_CHART,
+                                   ValidationError, _chart_samples)
+    records = reference_validate_atlas(model.atlas, form_tol=form_tol)
+    degenerate = set()
+    for chart in model.atlas.charts.values():
+        worst = (np.inf, None)
+        ok = True
+        for x in _chart_samples(chart, CONTACT_SAMPLES_PER_CHART):
+            result_ok, det_proxy, _, _ = reference_contact_check(chart, x)
+            if not result_ok:
+                worst = (det_proxy, x)
+                ok = False
+                degenerate.add(chart.id)
+                break
+            if det_proxy < worst[0]:
+                worst = (det_proxy, x)
+        records.append(CheckRecord("contact-nondegeneracy", chart.id, worst[0], ok, worst[1]))
+    for s in model.sections:
+        records.extend(reference_validate_section(model.atlas, s, tol=section_tol))
+    per_chart = max(1, COMMUTATION_SAMPLES // max(1, len(model.atlas.charts)))
+    for chart in model.atlas.charts.values():
+        if chart.id in degenerate:
+            continue
+        samples = _chart_samples(chart, per_chart)
+        for i in range(model.r + 1):
+            si = model.sections[i]
+            for j in range(len(model.sections)):
+                sj = model.sections[j]
+                worst = 0.0
+                where = None
+                for x in samples:
+                    value = abs(bracket(chart, si.on(chart.id), sj.on(chart.id), x))
+                    if value > worst:
+                        worst, where = value, x
+                records.append(CheckRecord("commutation",
+                                           f"[{si.name},{sj.name}] on {chart.id}",
+                                           worst, worst <= commutation_tol, where))
+    if model.hamiltonian is not None:
+        records.append(reference_hamiltonian_span(model))
+    if strict:
+        for rec in records:
+            if not rec.ok:
+                raise ValidationError(rec.check, rec.subject, rec.residual, rec.where)
+    return records
+
+
+def reference_loop_integral(chart, cycle, subdivisions=8, nodes=64, closure_tol=1e-9):
+    """``(value, refinement_error)`` of the per-node quadrature loop."""
+    from contactkit.dynamics import NotClosed
+    from contactkit.geometry import OutOfDomain, alpha_components
+    start = np.asarray(cycle.point(0.0), dtype=float)
+    end = np.asarray(cycle.point(1.0), dtype=float)
+    gap = float(np.max(np.abs(reference_shortest_arc_delta(chart, end, start))))
+    if gap > closure_tol:
+        raise NotClosed(gap)
+    if cycle.velocity is not None:
+        velocity = cycle.velocity
+    else:
+        def velocity(s, _h=1e-7):
+            a = np.asarray(cycle.point(s + _h), dtype=float)
+            b = np.asarray(cycle.point(s - _h), dtype=float)
+            return reference_shortest_arc_delta(chart, a, b) / (2.0 * _h)
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(nodes)
+
+    def integrate(panels):
+        total = 0.0
+        width = 1.0 / panels
+        for p in range(panels):
+            mid = (p + 0.5) * width
+            ts = mid + 0.5 * width * base_nodes
+            for w, s in zip(base_weights, ts):
+                x = np.asarray(cycle.point(s), dtype=float)
+                wrapped = chart.wrap(x)
+                if not chart.contains(wrapped):
+                    raise OutOfDomain(chart.id, wrapped)
+                a = alpha_components(chart, wrapped)
+                total += w * float(a @ velocity(s)) * 0.5 * width
+        return total
+
+    coarse = integrate(subdivisions)
+    fine = integrate(2 * subdivisions)
+    value = fine / (2 * np.pi)
+    return value, abs(fine - coarse) / (2 * np.pi * (1.0 + abs(value)))

@@ -346,3 +346,33 @@ def test_classify_error_is_the_first_failing_rows(tmp_path, capsys, section, mes
     _, expected = _per_point_sweep(argv)
     assert err == expected and err.startswith(message)
     assert not out.exists()
+
+
+def test_classify_csv_streams_the_rows_of_the_sweep(tmp_path, monkeypatch):
+    from contactkit import cli
+    from contactkit.bundle import classify
+    from contactkit.geometry import Point
+    argv = ["classify", "--model", "primer2", "--n", "2", "--omega", "1,1.4142135623730951",
+            "--f", "sin(phi2)", "--chart", "V2", "--grid", "3"]
+    monkeypatch.setattr(cli, "CSV_BLOCK", 7)  # 243 rows: many blocks, the last one short
+    out = tmp_path / "sweep.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    cfg = cli._run_config(cli.build_parser().parse_args(argv))
+    model = cli._load_model(cfg)
+    chart, coords = cli._sweep_points(cfg, model)
+    strata = classify(model.atlas, model.sections, model.r, Point(chart.id, chart.wrap(coords)))
+    lines = [",".join(chart.names) + ",stratum,dimE,dimF"]
+    for k, row in enumerate(coords):
+        report = strata[k]
+        lines.append(",".join(f"{float(v):.17g}" for v in row)
+                     + f",{report.stratum.value},{report.dimE},{report.dimF}")
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_overlap_samples_need_one_value_per_coordinate(tmp_path):
+    from helpers import CHART_SWITCH_CONFIG
+    config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
+    config["overlaps"][0]["samples"] = [[0.1, 0.2]]
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert read_json(out)["failure"]["subject"].startswith("config error at $.overlaps[0].samples")
