@@ -15,13 +15,14 @@ zero locus, or unclassified when the momentum differential drops rank.
 
 ``classify`` and ``momentum_rank`` take one point or a stack of points of
 one chart (a :class:`~contactkit.geometry.Point` whose coordinates are an
-``(N, dim)`` array).  They work on blocks of rows: stacked section values
-and jets, stacked frames, fields, momentum ratios and ranks, one stacked
-call per block, so a sweep's intermediates stay bounded.  A single point
-is a stack of one.  A block that raises is classified again one row at a
-time, so the first failing row raises exactly the error a per-point call
-raises on it.  ``validate_atlas`` and ``validate_section`` take each
-overlap's samples as one stack the same way.
+``(N, dim)`` array).  They work on blocks of rows: the section family is
+one kernel on the chart, whose stacked values and then jets feed stacked
+frames, fields, momentum ratios and ranks, so a sweep's intermediates stay
+bounded.  A single point is a stack of one.  A block that raises is
+classified again one row at a time, so the first failing row raises
+exactly the error a per-point call raises on it.  ``validate_atlas`` and
+``validate_section`` take each overlap's samples as one stack the same
+way; an overlap's map is one kernel, whose jet is the transition Jacobian.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ import numpy as np
 
 from . import numkernel
 from .errors import ContactKitError
-from .expr import DomainError, Expression, Kernel, divide, linear_combination
+from .expr import DomainError, Expression, Kernel, compiled, divide, linear_combination
 from .geometry import (Chart, ChartField, Point, TangentVector, _by_blocks, frame_at,
                        frame_stack)
 from .jacobi import _field_components, bracket
 
 
 class OutOfAtlas(ContactKitError):
-    def __init__(self, what: str):
-        super().__init__(what)
+    """A chart, overlap or local representative the atlas lacks."""
 
 
 class ZeroDivisor(ContactKitError):
@@ -96,7 +96,6 @@ class Atlas:
             if len(ov.forward) != self.charts[ov.dst].dim:
                 raise ValueError(f"overlap {ov.src}->{ov.dst}: map has wrong arity")
             self.overlaps[(ov.src, ov.dst)] = ov
-        self._maps: dict[tuple[str, str], Kernel] = {}
 
     @property
     def chart_ids(self) -> tuple[str, ...]:
@@ -120,13 +119,13 @@ class Atlas:
             raise OutOfAtlas(f"no overlap {src!r} -> {dst!r}")
         return ov
 
+    def _map(self, src: str, dst: str) -> Kernel:
+        """The overlap's map over the source names; its jet is the Jacobian."""
+        return compiled(self._overlap(src, dst).forward, self.charts[src].names)
+
     def map_coords(self, src: str, dst: str, x) -> np.ndarray:
-        """Destination coordinates of one point or of each row of a stack,
-        from one kernel per overlap over its whole map."""
-        ov = self._overlap(src, dst)
-        kernel = self._maps.get((src, dst))
-        if kernel is None:
-            kernel = self._maps[(src, dst)] = Kernel(ov.forward, self.charts[src].names)
+        """Destination coordinates of one point or of each row of a stack."""
+        kernel = self._map(src, dst)
         x = np.asarray(x, dtype=float)
         return kernel.value_stack(x) if x.ndim == 2 else np.array(kernel.value(*x.tolist()))
 
@@ -137,18 +136,15 @@ class Atlas:
 
     def factor_at(self, src: str, dst: str, x):
         """The factor at one point (a float) or at each row of a stack."""
-        return self.charts[src].evaluate(self._overlap(src, dst).factor, x)
+        factor = ChartField(self.charts[src], self._overlap(src, dst).factor)
+        return factor.value_stack(x) if np.ndim(x) == 2 else factor(x)
 
     def transition_jacobian(self, src: str, dst: str, x) -> np.ndarray:
         """Matrix ``J[m, l] = d (dst coord m) / d (src coord l)`` at ``x``, or
         one per row of a stack."""
-        ov = self._overlap(src, dst)
-        src_chart = self.charts[src]
-        if np.ndim(x) == 2:
-            return np.stack([ChartField(src_chart, e).gradient_stack(x) for e in ov.forward],
-                            axis=1)
-        env = src_chart.bindings(x)
-        return np.array([e.gradient(env, src_chart.names) for e in ov.forward])
+        kernel = self._map(src, dst)
+        x = np.asarray(x, dtype=float)
+        return kernel.jet_stack(x)[1] if x.ndim == 2 else np.array(kernel.jet(*x.tolist())[1])
 
     def triple_ids(self) -> list[tuple[str, str, str]]:
         ids = list(self.charts)
@@ -206,14 +202,10 @@ def section_bracket(atlas: Atlas, s1: Section, s2: Section, point: Point) -> flo
 
 def section_ratio(atlas: Atlas, num: Section, den: Section) -> Callable[[Point], float]:
     """Chart-independent quotient ``num / den``, usable as a flow integral."""
-    cache: dict[str, ChartField] = {}
 
     def value(point: Point) -> float:
-        if point.chart not in cache:
-            chart = atlas.chart(point.chart)
-            cache[point.chart] = ChartField(chart, divide(num.on(chart.id),
-                                                          den.on(chart.id)))
-        return cache[point.chart](point.coords)
+        chart = atlas.chart(point.chart)
+        return ChartField(chart, divide(num.on(chart.id), den.on(chart.id)))(point.coords)
 
     return value
 
@@ -333,9 +325,10 @@ def validate_section(atlas: Atlas, s: Section, tol: float = 1e-9) -> AtlasReport
             continue
 
         def run(x: np.ndarray) -> np.ndarray:
-            left = atlas.charts[src].evaluate(s.local[src], x)
+            left = ChartField(atlas.charts[src], s.local[src]).value_stack(x)
             y = atlas.map_coords(src, dst, x)
-            right = atlas.factor_at(src, dst, x) * atlas.charts[dst].evaluate(s.local[dst], y)
+            right = (atlas.factor_at(src, dst, x)
+                     * ChartField(atlas.charts[dst], s.local[dst]).value_stack(y))
             return np.abs(left - right) / (1.0 + np.abs(left))
 
         x = np.array(ov.samples, dtype=float).reshape(-1, atlas.charts[src].dim)
@@ -399,20 +392,16 @@ def _stack_of(atlas: Atlas, point: Point) -> tuple[Chart, np.ndarray]:
     return chart, np.asarray(point.coords, dtype=float).reshape(-1, chart.dim)
 
 
-def _section_stack(chart: Chart, x: np.ndarray,
-                   sections: Sequence[Section]) -> tuple[list[ChartField], np.ndarray]:
-    """The sections as fields on the chart, and their values ``(N, k)``."""
-    fields = []
-    values = np.empty((len(x), len(sections)))
-    for m, s in enumerate(sections):
-        fields.append(ChartField(chart, s.on(chart.id)))
-        values[:, m] = fields[-1].value_stack(x)
-    return fields, values
+def _family(chart: Chart, sections: Sequence[Section]) -> Kernel:
+    """The sections' representatives on the chart as one kernel over its
+    names: values ``(N, k)`` and gradients ``(N, k, dim)`` per stack."""
+    return compiled(tuple(s.on(chart.id) for s in sections), chart.names)
 
 
 def momentum(atlas: Atlas, sections: Sequence[Section], point: Point,
              tol: float = 1e-9) -> MomentumValue:
-    values = _section_stack(*_stack_of(atlas, point), sections)[1][0]
+    chart, x = _stack_of(atlas, point)
+    values = _family(chart, sections).value_stack(x)[0]
     magnitudes = np.abs(values)
     if magnitudes.max() <= tol:
         raise ZeroLocus(point.chart, point.coords)
@@ -422,11 +411,6 @@ def momentum(atlas: Atlas, sections: Sequence[Section], point: Point,
         u = -u
     u.flags.writeable = False
     return MomentumValue(u, int(np.argmax(magnitudes)))
-
-
-def _gradient_stack(fields: Sequence[ChartField], x: np.ndarray) -> np.ndarray:
-    """Gradients of the fields, ``(N, k, dim)``."""
-    return np.stack([f.gradient_stack(x) for f in fields], axis=1)
 
 
 def _ratio_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -452,11 +436,12 @@ def momentum_rank(atlas: Atlas, sections: Sequence[Section], point: Point,
     single = np.ndim(point.coords) == 1
 
     def run(block: np.ndarray):
-        fields, values = _section_stack(chart, block, sections)
+        family = _family(chart, sections)
+        values = family.value_stack(block)
         zero = np.abs(values).max(axis=1) <= zero_tol
         if zero.any():
             raise ZeroLocus(point.chart, block[np.argmax(zero)])
-        ratios = _ratio_rows(values, _gradient_stack(fields, block))
+        ratios = _ratio_rows(values, family.jet_stack(block)[1])
         # a single point hands numerical_rank its one matrix
         return numkernel.numerical_rank(ratios[0] if single else ratios, tol)
 
@@ -526,8 +511,9 @@ def classify(atlas: Atlas, sections: Sequence[Section], r: int, point: Point,
 
     def run(block: np.ndarray) -> tuple[np.ndarray, ...]:
         frames = frame_stack(chart, block)
-        fields, values = _section_stack(chart, block, sections)
-        grads = _gradient_stack(fields, block)
+        family = _family(chart, sections)
+        values = family.value_stack(block)
+        grads = family.jet_stack(block)[1]
         vectors = frames.fields(values, grads)
         dim_e = numkernel.numerical_rank(vectors, rank_tol)
         dim_f = numkernel.numerical_rank(vectors[:, : r + 1], rank_tol)

@@ -126,6 +126,8 @@ def _run_config(args) -> RunConfig:
     for name, least in (("samples", 0), ("grid", 0), ("subdivisions", 1)):
         if getattr(args, name) < least:
             raise ContactKitError(f"--{name} must be at least {least}")
+    if not (np.isfinite(args.t_final) and args.t_final != 0.0):
+        raise ContactKitError("--t-final must be finite and nonzero")
     default_format = {"check": "json", "flow": "csv", "classify": "csv",
                       "freq": "json", "actions": "json"}[args.command]
     return RunConfig(
@@ -209,6 +211,8 @@ def _start_point(cfg: RunConfig, model):
     chart = model.atlas.chart(cfg.chart or model.atlas.chart_ids[0])
     if cfg.x0 is None:
         raise ContactKitError("--x0 is required for this command")
+    if len(cfg.x0) != chart.dim:
+        raise ContactKitError(f"--x0 needs {chart.dim} coordinates on chart {chart.id!r}")
     return chart.point(np.array(cfg.x0, dtype=float))
 
 

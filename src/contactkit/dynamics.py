@@ -131,9 +131,6 @@ class Trajectory:
     switches: list[ChartSwitch]
     stats: ControllerStats
 
-    def coordinate_series(self, index: int) -> np.ndarray:
-        return np.array([p.coords[index] for p in self.points])
-
 
 def _resolve_hamiltonian(model, atlas: Atlas, h) -> Section:
     if h is None:
@@ -152,7 +149,7 @@ def _resolve_hamiltonian(model, atlas: Atlas, h) -> Section:
         local = {cid: h for cid, chart in atlas.charts.items()
                  if h.names <= set(chart.names)}
         if not local:
-            raise ValueError("Hamiltonian expression uses names absent from every chart")
+            raise ContactKitError("Hamiltonian expression uses names absent from every chart")
         return Section("h", local)
     raise TypeError(f"cannot interpret {h!r} as a Hamiltonian")
 
@@ -217,8 +214,8 @@ def flow(model, h, x0: Point, t_final: float,
     chart = atlas.chart_of(x0)
     y = np.array(x0.coords, dtype=float)
     t = 0.0
-    if t_final == 0.0:
-        raise ValueError("t_final must be nonzero")
+    if not (math.isfinite(t_final) and t_final != 0.0):
+        raise ValueError("t_final must be finite and nonzero")
     direction = 1.0 if t_final > 0 else -1.0
 
     sample_times = np.linspace(0.0, t_final, max(2, int(n_samples)))
@@ -432,7 +429,7 @@ def frequencies(traj: Trajectory, angle_indices: Sequence[int],
             if missing:
                 raise ValueError(f"chart {cid!r} along the trajectory has no "
                                  f"coordinate {missing[0]!r}")
-            positions[cid] = [chart.index_of(name) for name in names]
+            positions[cid] = [chart.names.index(name) for name in names]
     elif len(chart_ids) > 1:
         raise ValueError("the trajectory changes chart; pass the atlas to follow "
                          "angles by name")

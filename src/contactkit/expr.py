@@ -19,21 +19,22 @@ squared denominator underflows to zero) raise :class:`DomainError`
 carrying the span of the offending subexpression instead of propagating
 NaN.  A span covers the parentheses around an operand.
 
-Each expression compiles once, on first use, to straight-line Python (a
-:class:`Kernel`): one generated function for the value, one for the value
-with the full gradient (the jet, forward mode with the component
-arithmetic of dual numbers, every direction in one call) and one for a
-single directional derivative.  The domain guards above are inline in the
-generated code; the source never contains a coordinate name or any text
-of the formula.  The value and the jet also compile to array functions
-over a stack of points, one row each, generated from the same node list:
-one numpy operation per node (``math`` element by element where a numpy
-ufunc may round differently), each guard one vectorized test, and the
-results bit-identical to the scalar functions row by row.  A stack that
-fails a guard raises what the scalar function raises on the first failing
-row.  A :class:`~contactkit.geometry.Chart` compiles its whole contact form
-into one such kernel.  Parsed trees are immutable and evaluation is pure,
-so expressions can be shared freely between threads.  Printing, comparing,
+Formulas compile to straight-line Python only through :func:`compiled`,
+a bounded memo giving equal formulas over equal names one :class:`Kernel`
+(a chart's contact form, an overlap's map, a section family on a chart, a
+single formula).  A kernel generates on first use one function for the
+value, one for the value with the full gradient (the jet, forward mode
+with the component arithmetic of dual numbers, every direction in one
+call) and one for a single directional derivative.  The domain guards are
+inline in the generated code; the source never contains a coordinate name
+or any text of the formula.  The value and the jet also compile to array
+functions over a stack of points, one row each, generated from the same
+node list: one numpy operation per node (``math`` element by element where
+a numpy ufunc may round differently), each guard one vectorized test, and
+the results bit-identical to the scalar functions row by row.  A stack
+that fails a guard raises what the scalar function raises on the first
+failing row.  Parsed trees are immutable and evaluation is pure, so
+expressions can be shared freely between threads.  Printing, comparing,
 hashing and ``repr`` walk a tree with an explicit stack, so a formula of
 any depth prints as readily as it evaluates.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -619,8 +620,8 @@ class Kernel:
     element by element for sin, cos, tan, exp, log and integer powers,
     whose numpy ufuncs may round differently), under ``np.errstate`` with
     each guard tested on all rows at once, so every row equals the scalar
-    entry point bit for bit.  When a guard trips, the rows are replayed
-    through the scalar entry point in order, so a stack raises exactly
+    entry point bit for bit.  Only when a guard trips is the scalar entry
+    point compiled, to replay the rows in order, so a stack raises exactly
     what the scalar kernel raises on its first failing row.
     """
 
@@ -654,20 +655,19 @@ class Kernel:
         return self._compile("jet", stack=True)
 
     def value_stack(self, x) -> np.ndarray:
-        return self._stacked(self._value_rows, self.value, x)
+        return self._stacked(self._value_rows, "value", x)
 
     def jet_stack(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self._stacked(self._jet_rows, self.jet, x)
+        return self._stacked(self._jet_rows, "jet", x)
 
-    @staticmethod
-    def _stacked(rows: Callable, scalar: Callable, x):
+    def _stacked(self, rows: Callable, scalar: str, x):
         x = np.asarray(x, dtype=float)
         try:
             with np.errstate(all="ignore"):
                 return rows(x)
         except DomainError:
             for point in x.tolist():
-                scalar(*point)
+                getattr(self, scalar)(*point)
             raise
 
     def _compile(self, mode: str, stack: bool = False) -> Callable:
@@ -747,7 +747,7 @@ class Expression:
     def kernel(self) -> Kernel:
         """This formula compiled over :attr:`arguments`; ``eval``,
         ``eval_dual`` and ``gradient`` all run it."""
-        return Kernel((self,), self.arguments)
+        return compiled((self,), self.arguments)
 
     def _args(self, bindings: Mapping[str, float]) -> list[float]:
         try:
@@ -790,7 +790,21 @@ class Expression:
         return self.source == other.source and self.root == other.root
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing walks the tree, and kernels are looked up by formula
         return hash((self.root, self.source))
+
+
+@lru_cache(maxsize=512)
+def compiled(exprs: tuple[Expression, ...], names: tuple[str, ...]) -> Kernel:
+    """The :class:`Kernel` of ``exprs`` over ``names``, one per distinct
+    pair: equal formulas (same tree, same source text, which domain errors
+    quote) over equal names share one kernel and its compiled functions,
+    however many charts, overlaps or models hold them."""
+    return Kernel(exprs, names)
 
 
 def parse(text: str) -> Expression:

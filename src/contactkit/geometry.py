@@ -21,9 +21,10 @@ annihilator of ``Z``, and ``P alpha = 0``.
 :func:`frame_stack` builds the frames of a whole stack of points, one row
 each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
 same condition gate applied per row.  A :class:`ContactFrame` is that
-inverse on a stack of one, so there is one frame path.  The methods of
-:class:`Chart` and :func:`contact_check` take one point or a stack too; the
-check runs a least-squares Reeb solve per row and everything else stacked.
+inverse on a stack of one, so there is one frame path.  A single formula
+on a chart is a :class:`ChartField` (its value and jet, at a point or over
+a stack).  :func:`contact_check` takes one point or a stack too: it runs a
+least-squares Reeb solve per row and everything else stacked.
 :func:`_by_blocks` runs a failing block again row by row, so a stack raises
 what its first failing row raises on its own.
 """
@@ -32,13 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from . import numkernel
 from .errors import ContactKitError
-from .expr import Expression, Kernel, UnboundName, parse
+from .expr import Expression, Kernel, UnboundName, compiled, parse
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,10 +85,6 @@ class NotInZ0(ContactKitError):
                          "so it has no horizontal preimage")
 
 
-def _as_expression(e: Union[Expression, str]) -> Expression:
-    return e if isinstance(e, Expression) else parse(e)
-
-
 @dataclass(frozen=True)
 class Chart:
     """One coordinate cube with its local contact form.
@@ -126,27 +123,13 @@ class Chart:
     def n(self) -> int:
         return (len(self.names) - 1) // 2
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def bindings(self, x: np.ndarray) -> dict[str, float]:
         return dict(zip(self.names, map(float, x)))
-
-    def evaluate(self, e: Expression, x):
-        """``e`` at one point or at each row of a stack, as ``e.eval`` of
-        the row's bindings computes it (an unbound name included)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return e.eval(self.bindings(x))
-        missing = [name for name in e.arguments if name not in self.names]
-        if missing:
-            raise UnboundName(missing[0])
-        return e.kernel.value_stack(x[:, [self.names.index(n) for n in e.arguments]])[:, 0]
 
     @cached_property
     def alpha_kernel(self) -> Kernel:
         """The coefficients of the contact form compiled over ``names``."""
-        return Kernel(self.alpha, self.names)
+        return compiled(self.alpha, self.names)
 
     @cached_property
     def _axes(self) -> tuple[list[int], tuple[tuple[int, float, float], ...]]:
@@ -238,14 +221,6 @@ class CoVector:
     components: np.ndarray
 
 
-class UnboundNameOnChart(ContactKitError):
-    def __init__(self, chart_id: str, names: Sequence[str]):
-        self.chart_id = chart_id
-        self.names = tuple(names)
-        super().__init__(f"expression uses {', '.join(names)} which are not "
-                         f"coordinates of chart {chart_id!r}")
-
-
 def _floats(x) -> list[float]:
     return np.asarray(x, dtype=float).tolist()
 
@@ -253,16 +228,17 @@ def _floats(x) -> list[float]:
 class ChartField:
     """Scalar field on a chart backed by an expression; derivatives are exact.
 
-    The expression's own kernel does the work: coordinates reach it through
-    the chart positions of its arguments, so building a field compiles
-    nothing."""
+    The expression's own kernel does the work, through the chart positions
+    of its arguments, so building a field compiles nothing; the first
+    argument the chart lacks raises ``UnboundName`` as ``Expression.eval``
+    does."""
 
     def __init__(self, chart: Chart, e: Union[Expression, str]):
         self.chart = chart
-        self.expr = _as_expression(e)
-        unknown = self.expr.names - set(chart.names)
-        if unknown:
-            raise UnboundNameOnChart(chart.id, sorted(unknown))
+        self.expr = e if isinstance(e, Expression) else parse(e)
+        missing = [name for name in self.expr.arguments if name not in chart.names]
+        if missing:
+            raise UnboundName(missing[0])
         self._positions = tuple(chart.names.index(name) for name in self.expr.arguments)
 
     def _args(self, x) -> list[float]:
@@ -284,12 +260,13 @@ class ChartField:
         """Values at the rows of an ``(N, dim)`` stack."""
         return self.expr.kernel.value_stack(x[:, self._positions])[:, 0]
 
-    def gradient_stack(self, x: np.ndarray) -> np.ndarray:
-        """Gradients at the rows of an ``(N, dim)`` stack, one row each."""
-        out = np.zeros(x.shape)
-        if self._positions:
-            out[:, self._positions] = self.expr.kernel.jet_stack(x[:, self._positions])[1][:, 0]
-        return out
+    def jet_stack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(N,)`` and gradients ``(N, dim)`` at the rows of an
+        ``(N, dim)`` stack, from one call of the kernel's stacked jet."""
+        values, partials = self.expr.kernel.jet_stack(x[:, self._positions])
+        grads = np.zeros(x.shape)
+        grads[:, self._positions] = partials[:, 0]
+        return values[:, 0], grads
 
 
 FieldLike = Union[Expression, str, ChartField, Callable[[np.ndarray], float]]

@@ -62,8 +62,8 @@ def bracket(chart: Chart, f: FieldLike, g: FieldLike, x, frames: FrameStack | No
     if np.ndim(x) == 2:
         frames = frame_stack(chart, x) if frames is None else frames
         ff, gf = as_field(chart, f), as_field(chart, g)
-        df, fv = ff.gradient_stack(x), ff.value_stack(x)
-        dg, gv = gf.gradient_stack(x), gf.value_stack(x)
+        fv, df = ff.jet_stack(x)
+        gv, dg = gf.jet_stack(x)
         xf = frames.fields(fv[:, None], df[:, None])[:, 0]
         return numkernel.row_dot(dg, xf) - gv * numkernel.row_dot(df, frames.reeb)
     fr = frame_at(chart, x)

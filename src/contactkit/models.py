@@ -36,8 +36,8 @@ from . import expr
 from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _worst,
                      combine_sections, validate_atlas, validate_section)
 from .errors import ContactKitError
-from .expr import Expression, parse
-from .geometry import TWO_PI, Chart, contact_check, frame_stack
+from .expr import Expression, compiled, parse
+from .geometry import TWO_PI, Chart, ChartField, contact_check, frame_stack
 from .jacobi import bracket
 
 CONTACT_SAMPLES_PER_CHART = 256
@@ -226,7 +226,8 @@ def _hamiltonian_span_record(model: Model, tol: float = 1e-8) -> CheckRecord:
     for chart in model.atlas.charts.values():
         h_expr = model.hamiltonian.on(chart.id)
         basis = [s.on(chart.id) for s in model.sections[: model.r + 1]] + [h_expr]
-        rows += _by_blocks(lambda x: np.column_stack([chart.evaluate(e, x) for e in basis]),
+        rows += _by_blocks(lambda x: np.column_stack([ChartField(chart, e).value_stack(x)
+                                                      for e in basis]),
                            _chart_samples(chart, 16))
     table = np.concatenate(rows)
     a, b = table[:, :-1], table[:, -1]
@@ -597,8 +598,7 @@ def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap,
     kept = []
     for x in _chart_samples(src, count * 8):
         try:
-            env = src.bindings(x)
-            y = np.array([e.eval(env) for e in ov.forward])
+            y = np.array(compiled(ov.forward, src.names).value(*x.tolist()))
         except ContactKitError:
             continue
         if not np.all(np.isfinite(y)):

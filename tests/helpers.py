@@ -334,6 +334,14 @@ def reference_factor_at(atlas, src, dst, x):
     return atlas.overlaps[(src, dst)].factor.eval(atlas.charts[src].bindings(x))
 
 
+def reference_transition_jacobian(atlas, src, dst, x):
+    """``J[m, l]`` at one point: one ``Expression.gradient`` per forward expression."""
+    src_chart = atlas.charts[src]
+    env = src_chart.bindings(x)
+    forward = atlas.overlaps[(src, dst)].forward
+    return np.array([e.gradient(env, src_chart.names) for e in forward])
+
+
 def reference_shortest_arc_delta(chart, a, b):
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     for i, per in enumerate(chart.periodic):
@@ -413,8 +421,7 @@ def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_
             g = ov.factor.eval(src_chart.bindings(x))
             y = reference_map_coords(atlas, src, dst, x)
             b = alpha_components(atlas.charts[dst], y)
-            env = src_chart.bindings(x)
-            jac = np.array([e.gradient(env, src_chart.names) for e in ov.forward])
+            jac = reference_transition_jacobian(atlas, src, dst, x)
             form = float(np.max(np.abs(a - g * (jac.T @ b))))
             if form > worst_form:
                 worst_form, where_form = form, x

@@ -15,7 +15,8 @@ from contactkit.expr import parse
 from contactkit.geometry import Chart, ChartField, Point, reeb_at
 from contactkit.jacobi import bracket, ham_field
 from contactkit.models import canonical, primer, primer2
-from helpers import canonical_chart, dissipative_oracle
+from helpers import (canonical_chart, dissipative_oracle, random_expression,
+                     reference_transition_jacobian)
 
 OMEGA = (1.0, np.sqrt(2.0))
 
@@ -383,6 +384,30 @@ def test_validate_atlas_flags_missing_reverse_and_empty_samples():
     report = validate_atlas(both)
     assert not report.ok
     assert all(r.check == "overlap-samples" for r in report.failures())
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+       rows=st.lists(st.tuples(*[st.floats(0.1, 1.5)] * 3), min_size=1, max_size=6))
+def test_transition_jacobian_equals_the_per_expression_loop(seeds, rows):
+    """The jet of an overlap's map is its per-expression gradients bit for
+    bit, at a point and on every row of a stack."""
+    a = canonical_chart(1)
+    b = Chart("other", a.names, a.alpha, a.periodic, a.bounds)
+    forward = [random_expression(np.random.default_rng(seed), a.names, depth=3)
+               for seed in seeds]
+    forward[0] = expr.divide(forward[0], expr.coordinate("p1"))  # a quotient rule
+    atlas = Atlas([a, b], [Overlap("canonical", "other", tuple(forward), parse("1"))])
+    x = np.array(rows)
+    stacked = atlas.transition_jacobian("canonical", "other", x)
+    for k, row in enumerate(x):
+        want = reference_transition_jacobian(atlas, "canonical", "other", row)
+        assert _same_bits(atlas.transition_jacobian("canonical", "other", row), want)
+        assert _same_bits(stacked[k], want)
 
 
 def test_atlas_rejects_mixed_dimensions():

@@ -78,6 +78,10 @@ def test_flow_requires_start_point():
     ["--rtol", "0"],
     ["--k", "7"],
     ["--omega", "1"],
+    ["--t-final", "0"],
+    ["--t-final", "nan"],
+    ["--t-final", "inf"],
+    ["--t-final=-inf"],
 ])
 def test_bad_usage_exits_2_with_one_line(bad, capsys, tmp_path):
     args = ["--model", "primer", "--n", "2", "--chart", "V0",
@@ -101,6 +105,27 @@ def test_bad_integer_arguments_exit_2_with_one_line(bad, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "freq", "actions"])
+@pytest.mark.parametrize("x0", ["0,0,1", "0,0,1,0.7,-1.3,2"])
+def test_start_point_of_another_dimension_exits_2_with_one_line(command, x0, capsys,
+                                                               tmp_path):
+    out = tmp_path / "out"
+    assert main([command, *PRIMER_ARGS, "--chart", "V0", "--x0", x0, "--t-final", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --x0 needs 5 coordinates on chart 'V0'\n"
+    assert not out.exists()
+
+
+def test_canonical_hamiltonian_of_a_non_coordinate_exits_2_with_one_line(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["flow", "--model", "canonical", "--n", "1", "--f", "q1 * energy",
+                 "--x0", "0,0,0", "--t-final", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hamiltonian expression uses names absent")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_infinite_trig_argument_exits_2_with_one_line(capsys, tmp_path):

@@ -159,6 +159,14 @@ def test_chart_switching_closed_form():
         assert ratio == pytest.approx(0.11 + t, rel=1e-9)
 
 
+@pytest.mark.parametrize("t_final", [0.0, float("nan"), float("inf"), -float("inf")])
+def test_flow_refuses_a_zero_or_non_finite_horizon(t_final):
+    model = canonical(1)
+    x0 = model.atlas.chart("canonical").point(np.zeros(3))
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        flow(model, "q1", x0, t_final, max_steps=10)
+
+
 def test_leaving_the_atlas():
     names = ("q0", "q1", "p1")
     chart = Chart("box", names,

@@ -475,6 +475,37 @@ def test_stacked_kernel_of_no_rows_and_constants():
     assert err.value.reason == "division by zero"
 
 
+def test_stacks_compile_the_scalar_entry_points_only_to_replay_a_failure():
+    kernel = expr.Kernel([parse("log(x) + 1/y")], ["x", "y"])
+    kernel.value_stack(np.ones((3, 2)))
+    kernel.jet_stack(np.ones((3, 2)))
+    assert "value" not in kernel.__dict__ and "jet" not in kernel.__dict__
+    # the stack's first tripped guard (log, row 2) is not its first failing
+    # row's error (division, row 1)
+    x = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DomainError) as want:
+        kernel.value(1.0, 0.0)
+    for stacked in (kernel.value_stack, kernel.jet_stack):
+        with pytest.raises(DomainError) as err:
+            stacked(x)
+        assert (err.value.span, str(err.value)) == (want.value.span, str(want.value))
+
+
+def test_compiled_gives_equal_formulas_one_kernel():
+    a, b = parse("log(x) * y"), parse("log(x) * y")
+    assert a is not b and a.kernel is b.kernel
+    assert expr.compiled((a, b), ("x", "y")) is expr.compiled((b, a), ("x", "y"))
+    assert expr.compiled((a,), ("x", "y")) is not expr.compiled((a,), ("y", "x"))
+    # the same tree from other text: domain errors quote the text, so it
+    # gets a kernel of its own
+    other = expr.Expression(a.root, "LOG(x) * y")
+    assert other.root == a.root and other.kernel is not a.kernel
+    for e, quoted in ((a, "'log(x)'"), (other, "'LOG(x)'")):
+        with pytest.raises(DomainError) as err:
+            e.eval({"x": 0.0, "y": 1.0})
+        assert str(err.value).endswith(quoted)
+
+
 @pytest.mark.parametrize("name", ["__import__('os')", "a b", "x0", "_E", "v1"])
 def test_any_coordinate_name_evaluates(name):
     other = "x1" if name != "x1" else "y"

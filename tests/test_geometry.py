@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from contactkit import expr
-from contactkit.geometry import (Chart, NotInZ0, OutOfDomain, alpha_at,
+from contactkit.expr import UnboundName, parse
+from contactkit.geometry import (Chart, ChartField, NotInZ0, OutOfDomain, alpha_at,
                                  contact_check, dalpha_at, decompose_vector,
                                  frame_at, reeb_at, sharp)
 from contactkit.models import primer
@@ -267,6 +268,17 @@ def test_point_outside_domain():
         chart.point(np.array([0.0, 1.5, 0.0]))
     with pytest.raises(OutOfDomain):
         alpha_at(chart, np.array([0.0, 0.0, 2.0]))
+
+
+def test_chart_field_raises_what_eval_raises_for_a_name_the_chart_lacks():
+    chart = canonical_chart(1)
+    e = parse("q1 * zz + p1 * aa")
+    with pytest.raises(UnboundName) as want:
+        e.eval(chart.bindings([0.0, 1.0, 2.0]))
+    with pytest.raises(UnboundName) as got:
+        ChartField(chart, e)
+    assert (got.value.name, str(got.value)) == (want.value.name, str(want.value))
+    assert got.value.name == "zz"
 
 
 def test_gradient_matches_finite_differences():

@@ -3,6 +3,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from contactkit import expr, models
 from contactkit.bundle import Stratum, classify, momentum, validate_atlas
 from contactkit.dynamics import flow
 from contactkit.expr import parse
@@ -128,6 +129,23 @@ def test_primer2_positive_profile_has_empty_zero_locus():
 def test_primer_variants_share_the_atlas(pm):
     other = primer2(2, OMEGA, "sin(phi2)")
     assert other.atlas is pm.atlas
+
+
+def test_rebuilding_a_model_compiles_no_kernel(monkeypatch):
+    # each build on a new atlas: the charts of a cached one keep their kernels
+    models._projective_torus_atlas.cache_clear()
+    primer2(2, OMEGA, "sin(phi2)")
+    models._projective_torus_atlas.cache_clear()
+    compiles = []
+    original = expr.Kernel._compile
+
+    def counting(kernel, *args, **kwargs):
+        compiles.append(args)
+        return original(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(expr.Kernel, "_compile", counting)
+    primer2(2, OMEGA, "sin(phi2)")
+    assert compiles == []
 
 
 def test_builtin_models_pass_validation(pm):
