@@ -1,15 +1,14 @@
 """Flow integration across charts, invariance monitors, and torus diagnostics.
 
-The integrator is an explicit Dormand-Prince 5(4) embedded pair with the
-usual proportional step controller.  Steps are chosen by the tolerance and
-not by the sample grid: a requested sample inside an accepted step is
-filled from the free 4th-order continuous extension of the pair (Dormand &
-Prince 1980, with Shampine's 1986 coefficients; Hairer, Norsett & Wanner,
-Solving ODEs I, II.6).  Where that extension cannot be trusted to the
-tolerance the integrator lands a step on the sample instead, so the sample
-is an integration node.  The controller caps the step so no periodic
-coordinate advances more than half a turn per step, which keeps sampled
-angle sequences unwrappable.
+The integrator is DOP853, the explicit Dormand-Prince 8(5,3) pair with its
+order-7 dense output (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed.,
+II.5-II.6).  The step is set by the tolerance alone: the error norm
+combines the pair's 5th- and 3rd-order estimates, and the step controller
+uses the exponent -1/8.  A requested sample inside an accepted step comes
+from the dense output, whose three extra stages are computed only for a
+step that covers such a sample, so sample spacing is set by the sample
+count and not by the step; a sample at a step's end is the step's end
+point.
 
 Chart changes happen when the current point drifts within a relative
 margin of a bounded domain wall, or when the chart's declining
@@ -37,43 +36,100 @@ from .geometry import (Chart, ChartField, OutOfDomain, Point, TWO_PI, _by_blocks
 from .jacobi import _field_components
 from .numkernel import SingularSystem, row_dot
 
-# Dormand-Prince 5(4): 5th order propagation, embedded 4th order error estimate
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# DOP853 (Hairer's dop853.f).  Rows 1-11 of _A are the stages of a step,
+# row 12 the 8th-order weights, rows 13-15 the extra stages of the dense
+# output; row i lists a_ij for j < i.  The field is autonomous, so the nodes
+# c_i (the row sums) are not needed.
 _A = [
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array([2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]),
+    np.array([2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+              9.24834003261792003115737966543e-1]),
+    np.array([3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+              1.25467687566822425016691814123e-1]),
+    np.array([3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+              6.02165389804559606850219397283e-2, -1.7578125e-2]),
+    np.array([3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+              1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+              8.27378916381402288758473766002e-3]),
+    np.array([6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+              -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+              2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]),
+    np.array([4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+              -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+              1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+              -2.03312017085086261358222928593e-2]),
+    np.array([-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+              1.09143734899672957818500254654, -8.14978701074692612513997267357,
+              -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+              2.49360555267965238987089396762, -3.0467644718982195003823669022]),
+    np.array([2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+              -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+              2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+              -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+              6.43392746015763530355970484046e-1]),
+    np.array([5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+              4.45031289275240888144113950566, 1.89151789931450038304281599044,
+              -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+              -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+              4.47106157277725905176885569043e-2]),
+    np.array([5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+              2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+              -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+              8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+              -8.298e-3]),
+    np.array([3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+              2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+              -5.49237485713909884646569340306e-2, 0.0, 0.0,
+              -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+              -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1]),
+    np.array([-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+              -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+              4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0,
+              0.0, -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+              -9.15095847217987001081870187138]),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
-# continuous extension y0 + h * sum_i b_i(theta) k_i with
-# b(theta) = _P @ (theta, theta^2, theta^3, theta^4); b(1) = _B5
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+_B = _A[12]
+# the 5th- and 3rd-order error weights; both leave out the slope at the new point
+_E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+                -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+                0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1])
+_E3 = _B - np.array([0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                     0.733846688281611857341361741547, 0.0, 0.0,
+                     0.220588235294117647058823529412e-1])
+# dense-output rows 3-6; rows 0-2 come from the step's end points
+_D = np.array([
+    [-0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1],
+    [0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2],
+    [0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+     -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+     0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+     0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+     0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+     -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+     0.11992291136182789328035130030e+2],
+    [-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+     -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+     0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+     -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+     0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+     0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+     -0.14972683625798562581422125276e+3],
 ])
-# interpolant error estimate: continuous extension minus the cubic Hermite
-# through both step ends (slopes k_0 and the FSAL stage k_6), at mid-step
-_MID = _P @ np.array([1 / 2, 1 / 4, 1 / 8, 1 / 16]) - _B5 / 2 \
-    - np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]) / 8
-
-_MAX_ANGLE_PER_STEP = 0.5 * np.pi
 
 
 class StepSizeUnderflow(ContactKitError):
@@ -173,18 +229,31 @@ def _chart_health(chart: Chart, x: np.ndarray) -> float:
     return min(_boundary_gap(chart, x), 1.0)
 
 
-def _interp_error(h: float, k: np.ndarray, tol_vec: np.ndarray) -> float:
-    """Tolerance-scaled mid-step gap between the continuous extension and
-    the cubic Hermite of one step, a conservative estimate of the
-    extension's error."""
-    mid = (_MID @ k) / tol_vec
-    return h * math.sqrt(mid @ mid / mid.size)
+def _error_norm(h: float, k: np.ndarray, scale: np.ndarray) -> float:
+    """DOP853's error norm of a step from its 12 stages ``k``: the 5th-order
+    estimate damped by the 3rd-order one, in units of the tolerance."""
+    e5 = (_E5 @ k) / scale
+    e3 = (_E3 @ k) / scale
+    e5_sq = float(e5 @ e5)
+    e3_sq = float(e3 @ e3)
+    if e5_sq == 0.0 and e3_sq == 0.0:
+        return 0.0
+    return abs(h) * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * scale.size)
 
 
-def _dense(y0: np.ndarray, h: float, k: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """States of the continuous extension at step fractions ``theta``."""
-    powers = np.power.outer(theta, np.arange(1, 5))
-    return y0 + h * ((powers @ _P.T) @ k)
+def _dense(y0: np.ndarray, y1: np.ndarray, h: float, k: np.ndarray,
+           theta: np.ndarray) -> np.ndarray:
+    """States at step fractions ``theta`` from the order-7 dense output of the
+    step ``y0 -> y1``; ``k`` holds the 12 stages, the slope at ``y1`` and the
+    3 extra stages."""
+    dy = y1 - y0
+    rows = [dy, h * k[0] - dy, 2.0 * dy - h * (k[0] + k[12]), *(h * (_D @ k))]
+    theta = theta[:, None]
+    out = np.zeros((theta.shape[0], y0.shape[0]))
+    for i, row in enumerate(reversed(rows)):
+        out += row
+        out *= theta if i % 2 == 0 else 1.0 - theta
+    return y0 + out
 
 
 def flow(model, h, x0: Point, t_final: float,
@@ -195,10 +264,10 @@ def flow(model, h, x0: Point, t_final: float,
     units (negative runs backwards), sampling ``n_samples`` evenly spaced
     states.
 
-    The first and last samples, and every sample a step is landed on, are
-    integration nodes.  Any other sample is the continuous extension of the
-    step that covers it; a step covers samples without landing only while
-    the extension's mid-step error estimate stays within ``rtol``/``atol``.
+    A sample inside a step is the step's dense output, on the step's chart;
+    a step whose dense output leaves the chart at a sample is rejected like
+    a step that ends outside it.  A sample at a step's end (the last sample
+    always is one) is the end point, taken after any chart change there.
     """
     atlas: Atlas = getattr(model, "atlas", model)
     section = _resolve_hamiltonian(model, atlas, h)
@@ -224,7 +293,7 @@ def flow(model, h, x0: Point, t_final: float,
     next_sample = 1
 
     def try_switch(require: bool) -> bool:
-        nonlocal chart, y, k1, last
+        nonlocal chart, y, k1
         wrapped = chart.wrap(y)
         current = -np.inf if require else _chart_health(chart, wrapped)
         best_score = current
@@ -249,65 +318,62 @@ def flow(model, h, x0: Point, t_final: float,
         switches.append(ChartSwitch(t, chart.id, best[0].id))
         chart, y = best[0], best[1]
         k1 = rhs(chart, y)
-        last = None
         return True
 
     k1 = rhs(chart, y)
     scale0 = float(np.linalg.norm(y)) + 1.0
     speed0 = float(np.linalg.norm(k1))
     h_abs = min(abs(t_final), 1e-2 * scale0 / (speed0 + 1e-8), 1.0)
-    # (h, k, tol_vec) of the last accepted step, for the interpolant error
-    # estimate; with none yet, after a chart change or a redo, samples are
-    # landed on
-    last = None
+    # the step after a rejection may not grow
+    after_rejection = False
 
     for _ in range(max_steps):
         if direction * (t - t_final) >= 0.0:
             break
-        periodic_mask = np.array(chart.periodic)
-        remaining = abs(t_final - t)
-        top_speed = float(np.max(np.abs(k1[periodic_mask]))) if periodic_mask.any() else 0.0
-        if top_speed > 0.0:
-            h_abs = min(h_abs, _MAX_ANGLE_PER_STEP / top_speed)
         if h_abs < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(t)
-        # land exactly on the final time, and on the next requested sample
-        # when the continuous extension is not predicted to meet the
-        # tolerance there (the estimate scales with h^4)
+        # land exactly on the final time
         h_try = h_abs
-        t_target = None
-        landed = False
-        if h_try >= remaining / 1.05:
+        remaining = abs(t_final - t)
+        final = h_try >= remaining / 1.05
+        if final:
             h_try = remaining
-            t_target = t_final
-        if next_sample < len(sample_times):
-            to_next = abs(sample_times[next_sample] - t)
-            if h_try >= to_next > 0.0 and \
-                    (last is None or _interp_error(*last) * (h_try / last[0]) ** 4 > 1.0):
-                h_try = to_next
-                t_target = float(sample_times[next_sample])
-                landed = True
         h_step = direction * h_try
+        t_new = t_final if final else t + h_step
 
-        k = np.empty((7, y.shape[0]))
+        k = np.empty((16, y.shape[0]))
         k[0] = k1
-        failed = False
+        err = math.nan   # stays NaN when a stage raises
+        inside = False
         try:
-            for i in range(1, 7):
-                yi = y + h_step * (_A[i] @ k[:i])
-                k[i] = rhs(chart, yi)
-            y1 = y + h_step * (_B5 @ k)
+            for i in range(1, 12):
+                k[i] = rhs(chart, y + h_step * (_A[i] @ k[:i]))
+            y1 = y + h_step * (_B @ k[:12])
+            err = _error_norm(h_step, k[:12], atol + rtol * np.maximum(np.abs(y), np.abs(y1)))
+            if err <= 1.0 and chart.contains(chart.wrap(y1)):
+                k[12] = rhs(chart, y1)
+                stop = next_sample
+                while stop < len(sample_times) and \
+                        direction * (sample_times[stop] - t_new) <= 1e-12 * max(1.0, abs(t_new)):
+                    stop += 1
+                covered = sample_times[next_sample:stop]
+                inner = covered[direction * (covered - t_new) < 0.0]
+                states = np.empty((0, y.shape[0]))
+                if inner.size:
+                    for i in range(13, 16):
+                        k[i] = rhs(chart, y + h_step * (_A[i] @ k[:i]))
+                    states = chart.wrap(_dense(y, y1, h_step, k, (inner - t) / h_step))
+                inside = bool(np.all(chart.contains(states)))
         except (OutOfDomain, DomainError, SingularSystem):
-            failed = True
+            pass
 
-        if not failed:
-            err_vec = h_step * (_ERR @ k)
-            tol_vec = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-            err = float(np.sqrt(np.mean((err_vec / tol_vec) ** 2)))
-        if failed or err > 1.0 or not chart.contains(chart.wrap(y1)):
+        if not inside:
+            # too large an error, a stage that raised, or a step end or
+            # sample outside the chart
             stats.rejected += 1
-            if not failed and err > 1.0:
-                h_abs = h_try * max(0.1, min(0.9, 0.9 * err ** -0.2))
+            after_rejection = True
+            if err > 1.0:
+                h_abs = h_try * max(0.2, 0.9 * err ** -0.125)
             else:
                 h_abs = 0.5 * h_try
             if h_abs < 1e-14 * max(1.0, abs(t)):
@@ -318,52 +384,29 @@ def flow(model, h, x0: Point, t_final: float,
                 raise LeftAtlas(t, chart.id)
             continue
 
-        t_new = t_target if t_target is not None else t + h_step
-        stop = next_sample
-        while stop < len(sample_times) and \
-                direction * (sample_times[stop] - t_new) <= 1e-12 * max(1.0, abs(t_new)):
-            stop += 1
-        if stop > next_sample:
-            covered = sample_times[next_sample:stop]
-            if landed:
-                points.extend(chart.point(y1) for _ in covered)
-            else:
-                if np.any(covered != t_new) and _interp_error(h_try, k, tol_vec) > 1.0:
-                    # the extension would miss the tolerance at a sample:
-                    # redo the step landed
-                    stats.rejected += 1
-                    last = None
-                    continue
-                # samples at the node keep the node; the rest are interpolants
-                states = _dense(y, h_step, k, (covered - t) / h_step)
-                states[covered == t_new] = y1
-                points.extend(chart.point(x) for x in states)
-            next_sample = stop
-
+        points.extend(chart.point(x) for x in states)
         stats.accepted += 1
-        last = (h_try, k, tol_vec)
         stats.min_step = min(stats.min_step, h_try)
         stats.max_step = max(stats.max_step, h_try)
         t = t_new
         y = y1
-        k1 = k[6]
+        k1 = k[12]
 
         switched = False
         wrapped = chart.wrap(y)
         if _boundary_gap(chart, wrapped) < boundary_margin or \
                 _chart_health(chart, wrapped) < switch_tol:
             switched = try_switch(require=False)
+        # samples at the step's end are taken on the chart it ends on
+        points.extend(chart.point(y) for _ in range(stop - next_sample - inner.size))
+        next_sample = stop
         if not switched:
-            if err > 0.0:
-                h_abs = h_try * min(5.0, max(0.2, 0.9 * err ** -0.2))
-            else:
-                h_abs = 5.0 * h_try
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+            h_abs = h_try * (min(1.0, factor) if after_rejection else factor)
+        after_rejection = False
     else:
         raise ContactKitError(f"step budget of {max_steps} exhausted at t = {t:.6g}")
 
-    while next_sample < len(sample_times):
-        points.append(chart.point(y))
-        next_sample += 1
     return Trajectory(sample_times, points, switches, stats)
 
 

@@ -248,13 +248,16 @@ class ChartField:
     def __call__(self, x) -> float:
         return self.expr.kernel.value(*self._args(x))[0]
 
-    def gradient(self, x) -> np.ndarray:
+    def jet(self, x) -> tuple[float, np.ndarray]:
+        """Value and gradient at ``x`` from one call of the kernel's jet."""
+        (value,), (partials,) = self.expr.kernel.jet(*self._args(x))
         out = [0.0] * self.chart.dim
-        if self._positions:
-            _, (partials,) = self.expr.kernel.jet(*self._args(x))
-            for i, d in zip(self._positions, partials):
-                out[i] = d
-        return np.array(out)
+        for i, d in zip(self._positions, partials):
+            out[i] = d
+        return value, np.array(out)
+
+    def gradient(self, x) -> np.ndarray:
+        return self.jet(x)[1]
 
     def value_stack(self, x: np.ndarray) -> np.ndarray:
         """Values at the rows of an ``(N, dim)`` stack."""

@@ -21,8 +21,8 @@ import numpy as np
 from . import numkernel
 from .errors import ContactKitError
 from .expr import Expression, multiply
-from .geometry import (Chart, ContactFrame, FieldLike, FrameStack, TangentVector, as_field,
-                       frame_at, frame_stack)
+from .geometry import (Chart, ChartField, ContactFrame, FieldLike, FrameStack, TangentVector,
+                       as_field, frame_at, frame_stack)
 
 
 class PreconditionFailed(ContactKitError):
@@ -33,8 +33,16 @@ class PreconditionFailed(ContactKitError):
         super().__init__(f"{what}: residual {residual:.3e} at {self.where.tolist()}")
 
 
+def _jet(field, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and gradient of a scalar field: one kernel call for a chart
+    field, the field and ``numkernel.grad`` for a plain callable."""
+    if isinstance(field, ChartField):
+        return field.jet(x)
+    return float(field(x)), numkernel.grad(field, x)
+
+
 def _field_components(frame: ContactFrame, field) -> np.ndarray:
-    return frame.field(float(field(frame.x)), numkernel.grad(field, frame.x))
+    return frame.field(*_jet(field, frame.x))
 
 
 class HamiltonianField:
@@ -67,12 +75,9 @@ def bracket(chart: Chart, f: FieldLike, g: FieldLike, x, frames: FrameStack | No
         xf = frames.fields(fv[:, None], df[:, None])[:, 0]
         return numkernel.row_dot(dg, xf) - gv * numkernel.row_dot(df, frames.reeb)
     fr = frame_at(chart, x)
-    ff = as_field(chart, f)
-    gf = as_field(chart, g)
-    df = numkernel.grad(ff, fr.x)
-    xf = fr.field(float(ff(fr.x)), df)
-    dg = numkernel.grad(gf, fr.x)
-    return float(dg @ xf) - float(gf(fr.x)) * float(df @ fr.reeb)
+    fv, df = _jet(as_field(chart, f), fr.x)
+    gv, dg = _jet(as_field(chart, g), fr.x)
+    return float(dg @ fr.field(fv, df)) - gv * float(df @ fr.reeb)
 
 
 def bracket_field(chart: Chart, f: FieldLike, g: FieldLike):

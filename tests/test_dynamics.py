@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from contactkit import expr
+from contactkit import dynamics, expr
 from contactkit.bundle import Atlas, Section, momentum, section_ratio
 from contactkit.dynamics import (ControllerStats, Cycle, InsufficientSamples,
                                  LeftAtlas, NotClosed, StepSizeUnderflow,
@@ -85,11 +85,14 @@ def test_linear_winding_against_dop853(pm):
     assert np.max(np.abs(got[:, 2:] - ref[:, 2:])) < 1e-12
 
 
-@pytest.mark.parametrize("n_samples, rtol, atol", [
-    (61, 1e-11, 1e-12),   # landed on every sample
+DISSIPATIVE_RUNS = pytest.mark.parametrize("n_samples, rtol, atol", [
+    (61, 1e-11, 1e-12),   # tight tolerance, a sample every 0.1
     (601, 1e-9, 1e-9),    # hundreds of interpolated samples
 ])
-def test_dissipative_flow_against_dop853(pm2, n_samples, rtol, atol):
+
+
+def _check_dissipative_flow(pm2, n_samples, rtol, atol, method):
+    """The reduced dissipative flow against scipy's ``method`` at 1e-13."""
     red = pm2.reduced
     chart = red.atlas.chart("N")
     y0 = np.array([0.0, 0.0, 1.0, 0.8, -0.5])
@@ -100,12 +103,37 @@ def test_dissipative_flow_against_dop853(pm2, n_samples, rtol, atol):
 
     traj = flow(red, None, chart.point(y0), 6.0, rtol=rtol, atol=atol,
                 n_samples=n_samples)
-    ref = solve_ivp(equations, (0.0, 6.0), y0, method="DOP853", rtol=1e-13,
+    ref = solve_ivp(equations, (0.0, 6.0), y0, method=method, rtol=1e-13,
                     atol=1e-13, t_eval=traj.times).y.T
     got = np.array([p.coords for p in traj.points])
     assert np.max(np.abs(_arc(got[:, :2], ref[:, :2]))) < 1e-8
     assert np.max(np.abs(got[:, 2] - ref[:, 2])) < 1e-8
     assert np.max(np.abs(got[:, 3:] / ref[:, 3:] - 1.0)) < 1e-7
+
+
+@DISSIPATIVE_RUNS
+def test_dissipative_flow_against_dop853(pm2, n_samples, rtol, atol):
+    _check_dissipative_flow(pm2, n_samples, rtol, atol, "DOP853")
+
+
+@DISSIPATIVE_RUNS
+def test_dissipative_flow_against_radau(pm2, n_samples, rtol, atol):
+    # an implicit collocation method: no oracle shares the integrator's method
+    _check_dissipative_flow(pm2, n_samples, rtol, atol, "Radau")
+
+
+def test_dop853_tables_match_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    a = np.zeros((16, 16))
+    for i, row in enumerate(dynamics._A):
+        a[i, :i] = row
+    assert np.array_equal(a, ref.A)
+    assert np.array_equal(dynamics._B, ref.B)
+    # the nodes are the row sums
+    assert np.allclose(a.sum(axis=1), ref.C, rtol=0.0, atol=1e-13)
+    assert np.array_equal(dynamics._E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(dynamics._E3, ref.E3[:12]) and ref.E3[12] == 0.0
+    assert np.array_equal(dynamics._D, ref.D)
 
 
 def test_sample_grid_does_not_set_the_step(pm):
@@ -115,6 +143,9 @@ def test_sample_grid_does_not_set_the_step(pm):
     assert len(traj.points) == 2001
     assert traj.stats.accepted <= 100
     assert traj.stats.rhs_evaluations <= 600
+    # nor does the winding rate: a quarter turn per step at rates (1, sqrt 2)
+    # would cap every step at (pi/2)/sqrt 2
+    assert traj.stats.max_step > 0.5 * np.pi / np.sqrt(2)
 
 
 def test_integrator_against_harmonic_oracle():
@@ -159,6 +190,23 @@ def test_chart_switching_closed_form():
         assert ratio == pytest.approx(0.11 + t, rel=1e-9)
 
 
+def test_a_switch_at_the_last_step_moves_the_last_sample():
+    model = primer(1, (1.0,), "2 + sin(phi1)", k=0)
+    profile = parse("sin(phi1)")
+    h = Section("f*s0", {cid: expr.multiply(profile, e)
+                         for cid, e in model.section("s0").local.items()})
+    chart = model.atlas.chart("V0")
+    x0 = chart.point(np.array([0.2, np.pi, 0.11]))
+    # V0's health 1/sqrt(1 + J1^2) falls under 0.3 at t = 3.07, inside the
+    # last step: the switch is at its end, t = 3.2
+    traj = flow(model, h, x0, 3.2, switch_tol=0.3, n_samples=33)
+    assert [(s.time, s.src, s.dst) for s in traj.switches] == [(3.2, "V0", "V1")]
+    assert [p.chart for p in traj.points] == ["V0"] * 32 + ["V1"]
+    for t, p in zip(traj.times, traj.points):
+        ratio = p.coords[2] if p.chart == "V0" else 1.0 / p.coords[2]
+        assert ratio == pytest.approx(0.11 + t, rel=1e-9)
+
+
 @pytest.mark.parametrize("t_final", [0.0, float("nan"), float("inf"), -float("inf")])
 def test_flow_refuses_a_zero_or_non_finite_horizon(t_final):
     model = canonical(1)
@@ -179,6 +227,22 @@ def test_leaving_the_atlas():
     with pytest.raises(LeftAtlas) as err:
         flow(model, None, x0, 5.0, n_samples=11)
     assert 1.5 < err.value.time <= 2.01
+
+
+def test_a_sample_outside_the_chart_rejects_the_step():
+    # q1 = sin t peaks at 1 above the wall at 1 - 2e-5, so the sample at
+    # t = pi/2 lies outside the chart although steps can end inside on
+    # either side of the excursion
+    names = ("q0", "q1", "p1")
+    chart = Chart("box", names,
+                  (expr.literal(1.0), expr.coordinate("p1"), expr.literal(0.0)),
+                  (False,) * 3, ((-np.inf, np.inf), (-2.0, 1.0 - 2e-5), (-np.inf, np.inf)))
+    h = Section("h", {"box": parse("(p1^2 + q1^2)/2")})
+    model = Model("box", Atlas([chart]), (h,), 0, h)
+    x0 = chart.point(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(LeftAtlas) as err:
+        flow(model, None, x0, np.pi, n_samples=3)
+    assert err.value.time == pytest.approx(np.arcsin(1.0 - 2e-5), abs=1e-6)
 
 
 def test_step_size_underflow(pm2):

@@ -9,7 +9,8 @@ from contactkit.geometry import (Chart, ChartField, NotInZ0, OutOfDomain, alpha_
                                  frame_at, reeb_at, sharp)
 from contactkit.models import primer
 from contactkit.numkernel import SingularSystem
-from helpers import canonical_chart, normal_form_chart, random_polynomial
+from helpers import (canonical_chart, normal_form_chart, random_expression, random_polynomial,
+                     reference_eval, reference_gradient)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +280,20 @@ def test_chart_field_raises_what_eval_raises_for_a_name_the_chart_lacks():
         ChartField(chart, e)
     assert (got.value.name, str(got.value)) == (want.value.name, str(want.value))
     assert got.value.name == "zz"
+
+
+def test_chart_field_jet_is_the_value_and_the_gradient():
+    rng = np.random.default_rng(53)
+    chart = canonical_chart(2)
+    for _ in range(30):
+        e = random_expression(rng, chart.names, 3)
+        field = ChartField(chart, e)
+        x = rng.uniform(-1.2, 1.2, 5)
+        value, gradient = field.jet(x)
+        assert value == field(x) == reference_eval(e, chart.bindings(x))
+        assert np.array_equal(gradient, reference_gradient(e, chart.bindings(x), chart.names))
+    value, gradient = ChartField(chart, "2.5").jet(np.zeros(5))
+    assert value == 2.5 and np.array_equal(gradient, np.zeros(5))
 
 
 def test_gradient_matches_finite_differences():

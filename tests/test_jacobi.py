@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from contactkit import expr
 from contactkit.expr import parse
-from contactkit.geometry import frame_at, alpha_at
-from contactkit.jacobi import (PreconditionFailed, bracket, ham_field,
+from contactkit.geometry import ChartField, alpha_at, frame_at
+from contactkit.jacobi import (PreconditionFailed, _field_components, bracket, ham_field,
                                independence, iso_residual, make_symmetry)
 from contactkit.models import from_config, primer2
 from helpers import (CHART_SWITCH_CONFIG, canonical_bracket_oracle, canonical_chart,
@@ -232,3 +232,24 @@ def test_make_symmetry_rejects_non_integral(chart):
         make_symmetry(chart, parse("p1"), parse("p2"), parse("q1"), points)
     with pytest.raises(PreconditionFailed):
         make_symmetry(chart, parse("p1"), parse("q1"), parse("1"), points)
+
+
+def test_a_chart_field_is_evaluated_by_one_jet_call(chart, monkeypatch):
+    # the field and the bracket of chart fields read the value and the
+    # gradient from one kernel jet; the separate entry points must not run
+    x = np.array([0.3, -0.8, 0.5, 1.1, 0.2])
+    f = ChartField(chart, "q1*p2 + sin(q2)")
+    g = ChartField(chart, "p1^2 - q0*q2")
+    want_field = _field_components(frame_at(chart, x), f)
+    want_bracket = bracket(chart, f, g, x)
+
+    def forbidden(self, x):
+        raise AssertionError("separate value or gradient call")
+
+    monkeypatch.setattr(ChartField, "__call__", forbidden)
+    monkeypatch.setattr(ChartField, "gradient", forbidden)
+    assert np.array_equal(_field_components(frame_at(chart, x), f), want_field)
+    assert bracket(chart, f, g, x) == want_bracket
+    # a plain callable still goes through numkernel.grad
+    plain = bracket(chart, lambda y: y[1] * y[4] + np.sin(y[2]), g, x)
+    assert plain == pytest.approx(want_bracket, abs=1e-8)
