@@ -40,6 +40,8 @@ from .geometry import (Chart, ChartField, Point, TangentVector, _by_blocks, fram
                        frame_stack)
 from .jacobi import _field_components, bracket
 
+ZERO_TOL = 1e-9  # a section value of at most this magnitude is zero
+
 
 class OutOfAtlas(ContactKitError):
     """A chart, overlap or local representative the atlas lacks."""
@@ -351,17 +353,16 @@ class RescaledFamily:
 
     section: Section
     charts: Mapping[str, Chart]
-    min_abs: float = 1e-9
 
     def chart_at(self, atlas: Atlas, point: Point) -> Chart:
         rep = self.section.on(point.chart)
         value = rep.eval(atlas.chart(point.chart).bindings(point.coords))
-        if abs(value) <= self.min_abs:
+        if abs(value) <= ZERO_TOL:
             raise ZeroDivisor(point.chart, point.coords, value)
         return self.charts[point.chart]
 
 
-def rescale(atlas: Atlas, s: Section, min_abs: float = 1e-9) -> RescaledFamily:
+def rescale(atlas: Atlas, s: Section) -> RescaledFamily:
     charts = {}
     for cid, chart in atlas.charts.items():
         if cid not in s.local:
@@ -372,7 +373,7 @@ def rescale(atlas: Atlas, s: Section, min_abs: float = 1e-9) -> RescaledFamily:
                             periodic=chart.periodic, bounds=chart.bounds,
                             sample_box=chart.sample_box,
                             denominator=chart.denominator if chart.denominator is not None else rep)
-    return RescaledFamily(s, charts, min_abs)
+    return RescaledFamily(s, charts)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +399,14 @@ def _family(chart: Chart, sections: Sequence[Section]) -> Kernel:
     return compiled(tuple(s.on(chart.id) for s in sections), chart.names)
 
 
-def momentum(atlas: Atlas, sections: Sequence[Section], point: Point,
-             tol: float = 1e-9) -> MomentumValue:
+def momentum(atlas: Atlas, sections: Sequence[Section], point: Point) -> MomentumValue:
     chart, x = _stack_of(atlas, point)
     values = _family(chart, sections).value_stack(x)[0]
     magnitudes = np.abs(values)
-    if magnitudes.max() <= tol:
+    if magnitudes.max() <= ZERO_TOL:
         raise ZeroLocus(point.chart, point.coords)
     u = values / np.linalg.norm(values)
-    lead = int(np.argmax(np.abs(u) > tol))
+    lead = int(np.argmax(np.abs(u) > ZERO_TOL))
     if u[lead] < 0.0:
         u = -u
     u.flags.writeable = False
@@ -426,9 +426,7 @@ def _ratio_rows(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return ratios[np.arange(k) != pivot[:, None]].reshape(n, k - 1, dim)
 
 
-def momentum_rank(atlas: Atlas, sections: Sequence[Section], point: Point,
-                  tol: float = numkernel.DEFAULT_RANK_TOL,
-                  zero_tol: float = 1e-9):
+def momentum_rank(atlas: Atlas, sections: Sequence[Section], point: Point):
     """Rank of the differential of the affine momentum chart through the
     section of largest magnitude at the point; an array of ranks for a
     stack of points."""
@@ -438,12 +436,13 @@ def momentum_rank(atlas: Atlas, sections: Sequence[Section], point: Point,
     def run(block: np.ndarray):
         family = _family(chart, sections)
         values = family.value_stack(block)
-        zero = np.abs(values).max(axis=1) <= zero_tol
+        zero = np.abs(values).max(axis=1) <= ZERO_TOL
         if zero.any():
             raise ZeroLocus(point.chart, block[np.argmax(zero)])
         ratios = _ratio_rows(values, family.jet_stack(block)[1])
         # a single point hands numerical_rank its one matrix
-        return numkernel.numerical_rank(ratios[0] if single else ratios, tol)
+        return numkernel.numerical_rank(ratios[0] if single else ratios,
+                                        numkernel.DEFAULT_RANK_TOL)
 
     parts = _by_blocks(run, x)
     return parts[0] if single else np.concatenate(parts)

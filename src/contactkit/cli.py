@@ -1,7 +1,12 @@
 """Command-line front end: validation reports, flows, stratification sweeps,
 frequency and action extraction.  Reports are CSV or JSON with every float
-printed at full precision; each JSON report embeds the resolved run
-configuration so it can be reproduced."""
+printed at full precision.
+
+The parsed arguments are the run configuration: :func:`_run_config` checks
+them, every command reads them, and every JSON report or sidecar embeds
+them as its ``config`` block (22 keys: ``command`` and one per option, with
+``format`` resolved to the command's default) so the run can be
+reproduced."""
 
 from __future__ import annotations
 
@@ -9,14 +14,15 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .bundle import Stratum, classify
-from .dynamics import (coordinate_circle, flow, frequencies, loop_integral)
+from .dynamics import (LeftAtlas, StepSizeUnderflow, coordinate_circle, flow, frequencies,
+                       loop_integral)
 from .errors import ContactKitError
 from .geometry import Point
 from .models import (ValidationError, canonical, from_config, primer, primer2,
@@ -28,42 +34,6 @@ EXIT_VALIDATION = 2
 EXIT_INTEGRATOR = 3
 MAX_GRID_POINTS = 10**6  # largest classify --grid sweep
 CSV_BLOCK = 4096  # classify rows formatted per write
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None
-    config: str | None
-    n: int
-    omega: tuple[float, ...]
-    f: str | None
-    k: int
-    reduced: bool
-    chart: str | None
-    x0: tuple[float, ...] | None
-    t_final: float
-    rtol: float
-    atol: float
-    strata_tol: float
-    rank_tol: float
-    switch_tol: float
-    samples: int
-    grid: int
-    subdivisions: int
-    seed: int
-    out: str | None
-    format: str
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["omega"] = list(self.omega)
-        d["x0"] = None if self.x0 is None else list(self.x0)
-        return d
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
@@ -78,12 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contact-system toolkit: check models, integrate flows, "
                     "classify strata, extract frequencies and actions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-            ("check", "validate a model and report per-check residuals"),
-            ("flow", "integrate a trajectory and write it as CSV"),
-            ("classify", "stratify sampled points of a chart"),
-            ("freq", "integrate a trajectory and fit winding rates"),
-            ("actions", "loop integrals around the periodic coordinates")]:
+    for name, default_format, helptext in [
+            ("check", "json", "validate a model and report per-check residuals"),
+            ("flow", "csv", "integrate a trajectory and write it as CSV"),
+            ("classify", "csv", "stratify sampled points of a chart"),
+            ("freq", "json", "integrate a trajectory and fit winding rates"),
+            ("actions", "json", "loop integrals around the periodic coordinates")]:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--model", choices=["canonical", "primer", "primer2"],
                          help="built-in model name")
@@ -91,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--n", type=int, default=2, help="built-in model size")
         cmd.add_argument("--omega", type=_comma_floats, default=(),
                          help="comma list of frequencies for the built-ins")
-        cmd.add_argument("--f", dest="f_expr", default=None,
+        cmd.add_argument("--f", default=None, metavar="F_EXPR",
                          help="profile expression for primer/primer2; for the "
                               "canonical model this is the Hamiltonian")
         cmd.add_argument("--k", type=int, default=0,
@@ -115,11 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="quadrature panels for actions")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
-        cmd.add_argument("--format", choices=["csv", "json"], default=None)
+        cmd.add_argument("--format", choices=["csv", "json"], default=default_format)
     return parser
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed arguments, checked."""
     for name in ("rtol", "atol", "strata_tol", "rank_tol", "switch_tol"):
         if not getattr(args, name) > 0.0:
             raise ContactKitError(f"--{name.replace('_', '-')} must be positive")
@@ -128,20 +99,10 @@ def _run_config(args) -> RunConfig:
             raise ContactKitError(f"--{name} must be at least {least}")
     if not (np.isfinite(args.t_final) and args.t_final != 0.0):
         raise ContactKitError("--t-final must be finite and nonzero")
-    default_format = {"check": "json", "flow": "csv", "classify": "csv",
-                      "freq": "json", "actions": "json"}[args.command]
-    return RunConfig(
-        command=args.command, model=args.model, config=args.config, n=args.n,
-        omega=tuple(args.omega), f=args.f_expr, k=args.k, reduced=args.reduced,
-        chart=args.chart, x0=tuple(args.x0) if args.x0 is not None else None,
-        t_final=args.t_final, rtol=args.rtol, atol=args.atol,
-        strata_tol=args.strata_tol, rank_tol=args.rank_tol,
-        switch_tol=args.switch_tol, samples=args.samples, grid=args.grid,
-        subdivisions=args.subdivisions, seed=args.seed, out=args.out,
-        format=args.format or default_format)
+    return args
 
 
-def _load_model(cfg: RunConfig):
+def _load_model(cfg: argparse.Namespace):
     if cfg.config:
         return from_config(cfg.config)
     if cfg.model is None:
@@ -165,25 +126,31 @@ def _output(path: str | None):
 
 
 def _write_json(path: str | None, payload: dict) -> None:
+    """The report with its ``config`` block: tuples such as ``omega`` and
+    ``x0`` become JSON lists."""
     with _output(path) as out:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: str | None, header: list[str], rows: Iterable[list]) -> None:
-    """One line per row: strings as they are, numbers at full precision."""
-    with _output(path) as out:
+def _write_table(cfg: argparse.Namespace, header: list[str], rows: Iterable[list],
+                 report: dict, suffix: str) -> None:
+    """The rows as CSV, strings as they are and numbers at full precision,
+    with ``report`` in the sidecar ``<out stem><suffix>`` (none on stdout);
+    or with ``--format json`` one report holding the rows."""
+    if cfg.format == "json":
+        _write_json(cfg.out, {**report, "header": header, "rows": list(rows)})
+        return
+    with _output(cfg.out) as out:
         out.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
+            out.write(",".join(cell if isinstance(cell, str) else f"{float(cell):.17g}"
                                for cell in row) + "\n")
+    if cfg.out is not None:
+        out = Path(cfg.out)
+        _write_json(str(out.with_name(out.stem + suffix)), report)
 
 
-def _sidecar(path: str, suffix: str) -> str:
-    p = Path(path)
-    return str(p.with_name(p.stem + suffix))
-
-
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: argparse.Namespace) -> int:
     failure = None
     records = []
     try:
@@ -196,7 +163,7 @@ def cmd_check(cfg: RunConfig) -> int:
         failure = {"check": "load", "subject": str(exc), "residual": None,
                    "where": None}
     payload = {
-        "config": cfg.as_dict(),
+        "config": vars(cfg),
         "ok": failure is None and all(r.ok for r in records),
         "failure": failure,
         "checks": [{"check": r.check, "subject": r.subject,
@@ -207,7 +174,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK if payload["ok"] else EXIT_VALIDATION
 
 
-def _start_point(cfg: RunConfig, model):
+def _start_point(cfg: argparse.Namespace, model):
     chart = model.atlas.chart(cfg.chart or model.atlas.chart_ids[0])
     if cfg.x0 is None:
         raise ContactKitError("--x0 is required for this command")
@@ -216,42 +183,29 @@ def _start_point(cfg: RunConfig, model):
     return chart.point(np.array(cfg.x0, dtype=float))
 
 
-def _run_flow(cfg: RunConfig, model):
+def _run_flow(cfg: argparse.Namespace, model):
     x0 = _start_point(cfg, model)
     h = cfg.f if (cfg.f and cfg.model == "canonical") else None
     return flow(model, h, x0, cfg.t_final, rtol=cfg.rtol, atol=cfg.atol,
                 n_samples=cfg.samples, switch_tol=cfg.switch_tol), x0
 
 
-def cmd_flow(cfg: RunConfig) -> int:
+def cmd_flow(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg)
     traj, x0 = _run_flow(cfg, model)
-    start_chart = model.atlas.chart(x0.chart)
-    header = ["t", "chart"] + list(start_chart.names)
-    rows = [[t, p.chart] + list(p.coords)
-            for t, p in zip(traj.times, traj.points)]
+    header = ["t", "chart", *model.atlas.chart(x0.chart).names]
+    rows = [[t, p.chart, *p.coords] for t, p in zip(traj.times, traj.points)]
     events = {
-        "config": cfg.as_dict(),
+        "config": vars(cfg),
         "chart_switches": [{"time": s.time, "from": s.src, "to": s.dst}
                            for s in traj.switches],
-        "controller": {"accepted": traj.stats.accepted,
-                       "rejected": traj.stats.rejected,
-                       "min_step": traj.stats.min_step,
-                       "max_step": traj.stats.max_step,
-                       "rhs_evaluations": traj.stats.rhs_evaluations},
+        "controller": asdict(traj.stats),
     }
-    if cfg.format == "json":
-        events["header"] = header
-        events["rows"] = [[r[0], r[1], *map(float, r[2:])] for r in rows]
-        _write_json(cfg.out, events)
-    else:
-        _write_csv(cfg.out, header, rows)
-        if cfg.out is not None:
-            _write_json(_sidecar(cfg.out, ".events.json"), events)
+    _write_table(cfg, header, rows, events, ".events.json")
     return EXIT_OK
 
 
-def _sweep_points(cfg: RunConfig, model):
+def _sweep_points(cfg: argparse.Namespace, model):
     chart = model.atlas.chart(cfg.chart or model.atlas.chart_ids[0])
     box = chart.effective_sample_box()
     if cfg.grid > 0:
@@ -273,7 +227,7 @@ def _sweep_points(cfg: RunConfig, model):
     return chart, coords
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg)
     chart, coords = _sweep_points(cfg, model)
 
@@ -290,27 +244,20 @@ def cmd_classify(cfg: RunConfig) -> int:
             for row, code, e, f in zip(*(a[start:start + CSV_BLOCK].tolist() for a in (
                 coords, strata.stratum, strata.dimE, strata.dimF))))
     counts = {s.value: n for s, n in strata.counts().items()}
-    summary = {"config": cfg.as_dict(), "chart": chart.id, "counts": counts,
+    summary = {"config": vars(cfg), "chart": chart.id, "counts": counts,
                "points": len(coords)}
-    if cfg.format == "json":
-        summary["header"] = header
-        summary["rows"] = list(rows)
-        _write_json(cfg.out, summary)
-    else:
-        _write_csv(cfg.out, header, rows)
-        if cfg.out is not None:
-            _write_json(_sidecar(cfg.out, ".summary.json"), summary)
+    _write_table(cfg, header, rows, summary, ".summary.json")
     return EXIT_OK
 
 
-def cmd_freq(cfg: RunConfig) -> int:
+def cmd_freq(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg)
     traj, x0 = _run_flow(cfg, model)
     chart = model.atlas.chart(x0.chart)
     indices = [i for i, per in enumerate(chart.periodic) if per]
     fit = frequencies(traj, indices, model.atlas)
     payload = {
-        "config": cfg.as_dict(),
+        "config": vars(cfg),
         "frequencies": {chart.names[j]: float(w)
                         for j, w in zip(indices, fit.omegas)},
         "residuals": {chart.names[j]: float(rho)
@@ -321,7 +268,7 @@ def cmd_freq(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_actions(cfg: RunConfig) -> int:
+def cmd_actions(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg)
     x0 = _start_point(cfg, model)
     chart = model.atlas.chart(x0.chart)
@@ -331,7 +278,7 @@ def cmd_actions(cfg: RunConfig) -> int:
                                subdivisions=cfg.subdivisions)
         actions[chart.names[i]] = {"value": result.value,
                                    "refinement_error": result.refinement_error}
-    payload = {"config": cfg.as_dict(), "actions": actions}
+    payload = {"config": vars(cfg), "actions": actions}
     _write_json(cfg.out, payload)
     return EXIT_OK
 
@@ -356,11 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (StepSizeUnderflow, LeftAtlas) as exc:
+        print(f"integrator failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATOR
     except ContactKitError as exc:
-        from .dynamics import LeftAtlas, StepSizeUnderflow
-        if isinstance(exc, (StepSizeUnderflow, LeftAtlas)):
-            print(f"integrator failure: {exc}", file=sys.stderr)
-            return EXIT_INTEGRATOR
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -10,11 +10,16 @@ step that covers such a sample, so sample spacing is set by the sample
 count and not by the step; a sample at a step's end is the step's end
 point.
 
-Chart changes happen when the current point drifts within a relative
-margin of a bounded domain wall, or when the chart's declining
-``denominator`` expression falls under ``switch_tol``; the integrator then
-moves to the overlapping chart with the best health score and records the
-event on the trajectory.
+Chart changes happen when the current point drifts within
+``BOUNDARY_MARGIN`` (relative to the axis) of a bounded domain wall, or
+when the chart's declining ``denominator`` expression falls under
+``switch_tol``; the integrator then moves to the overlapping chart with the
+best health score and records the event on the trajectory.  A step that
+leaves the chart is halved.  The flow is wedged, and must change chart or
+raise :class:`LeftAtlas`, when the halved step falls to the resolution of
+``t``, or when the step after one that left the chart moves no coordinate
+with a finite bound: then the point rests one ulp inside a wall, and any
+step short enough to be accepted leaves it there.
 
 :func:`loop_integral` evaluates the Gauss nodes of one refinement level as
 one stack and sums the weighted terms in node order.
@@ -35,6 +40,9 @@ from .geometry import (Chart, ChartField, OutOfDomain, Point, TWO_PI, _by_blocks
                        frame_at)
 from .jacobi import _field_components
 from .numkernel import SingularSystem, row_dot
+
+BOUNDARY_MARGIN = 0.05  # a wall this close, as a fraction of its axis, asks for a chart change
+CLOSURE_TOL = 1e-9  # largest end-point gap of a closed cycle
 
 # DOP853 (Hairer's dop853.f).  Rows 1-11 of _A are the stages of a step,
 # row 12 the 8th-order weights, rows 13-15 the extra stages of the dense
@@ -220,6 +228,13 @@ def _boundary_gap(chart: Chart, x: np.ndarray) -> float:
     return gap
 
 
+def _stalled_at_a_wall(chart: Chart, y: np.ndarray, y1: np.ndarray) -> bool:
+    """Whether the chart has a finite bound and the step ``y -> y1`` moves
+    no coordinate that has one."""
+    walls = [i for i, lo, hi in chart._axes[1] if lo > -np.inf or hi < np.inf]
+    return bool(walls) and all(y1[i] == y[i] for i in walls)
+
+
 def _chart_health(chart: Chart, x: np.ndarray) -> float:
     if chart.denominator is not None:
         try:
@@ -259,7 +274,7 @@ def _dense(y0: np.ndarray, y1: np.ndarray, h: float, k: np.ndarray,
 def flow(model, h, x0: Point, t_final: float,
          rtol: float = 1e-10, atol: float = 1e-10,
          n_samples: int = 201, switch_tol: float = 1e-3,
-         boundary_margin: float = 0.05, max_steps: int = 1_000_000) -> Trajectory:
+         max_steps: int = 1_000_000) -> Trajectory:
     """Integrate the contact field of ``h`` from ``x0`` for ``t_final`` time
     units (negative runs backwards), sampling ``n_samples`` evenly spaced
     states.
@@ -326,6 +341,8 @@ def flow(model, h, x0: Point, t_final: float,
     h_abs = min(abs(t_final), 1e-2 * scale0 / (speed0 + 1e-8), 1.0)
     # the step after a rejection may not grow
     after_rejection = False
+    # the last step left the chart, or one of its stages raised
+    left_chart = False
 
     for _ in range(max_steps):
         if direction * (t - t_final) >= 0.0:
@@ -367,19 +384,24 @@ def flow(model, h, x0: Point, t_final: float,
         except (OutOfDomain, DomainError, SingularSystem):
             pass
 
-        if not inside:
-            # too large an error, a stage that raised, or a step end or
-            # sample outside the chart
+        # after a step that left the chart, one that moves no coordinate with a
+        # finite bound cannot reach the wall at float resolution
+        wedged = inside and left_chart and _stalled_at_a_wall(chart, y, y1)
+        if not inside or wedged:
+            # too large an error, a stage that raised, a step end or sample
+            # outside the chart, or a step stalled at a wall
             stats.rejected += 1
             after_rejection = True
+            left_chart = not err > 1.0
             if err > 1.0:
                 h_abs = h_try * max(0.2, 0.9 * err ** -0.125)
             else:
                 h_abs = 0.5 * h_try
-            if h_abs < 1e-14 * max(1.0, abs(t)):
+            if wedged or h_abs < 1e-14 * max(1.0, abs(t)):
                 # wedged against an obstruction; a chart change is the way out
                 if try_switch(require=True):
                     h_abs = 1e-6 * max(1.0, abs(t_final))
+                    left_chart = False
                     continue
                 raise LeftAtlas(t, chart.id)
             continue
@@ -388,13 +410,14 @@ def flow(model, h, x0: Point, t_final: float,
         stats.accepted += 1
         stats.min_step = min(stats.min_step, h_try)
         stats.max_step = max(stats.max_step, h_try)
+        left_chart = False
         t = t_new
         y = y1
         k1 = k[12]
 
         switched = False
         wrapped = chart.wrap(y)
-        if _boundary_gap(chart, wrapped) < boundary_margin or \
+        if _boundary_gap(chart, wrapped) < BOUNDARY_MARGIN or \
                 _chart_health(chart, wrapped) < switch_tol:
             switched = try_switch(require=False)
         # samples at the step's end are taken on the chart it ends on
@@ -516,7 +539,7 @@ class ActionIntegral:
 
 
 def loop_integral(chart: Chart, cycle: Cycle, subdivisions: int = 8,
-                  nodes: int = 64, closure_tol: float = 1e-9) -> ActionIntegral:
+                  nodes: int = 64) -> ActionIntegral:
     """Integral of the contact form along a closed curve, divided by ``2 pi``.
 
     Composite Gauss-Legendre quadrature; the reported error is the change
@@ -528,7 +551,7 @@ def loop_integral(chart: Chart, cycle: Cycle, subdivisions: int = 8,
     start = np.asarray(cycle.point(0.0), dtype=float)
     end = np.asarray(cycle.point(1.0), dtype=float)
     gap = float(np.max(np.abs(chart.shortest_arc_delta(end, start))))
-    if gap > closure_tol:
+    if gap > CLOSURE_TOL:
         raise NotClosed(gap)
 
     if cycle.velocity is not None:

@@ -42,6 +42,7 @@ from .errors import ContactKitError
 from .expr import Expression, Kernel, UnboundName, compiled, parse
 
 TWO_PI = 2.0 * np.pi
+Z0_TOL = 1e-8  # largest pairing with Reeb, relative to 1 + |eta|, that sharp accepts
 
 # membership and sampling default for axes that are unbounded
 _DEFAULT_SAMPLE_HALF_WIDTH = 2.0
@@ -378,10 +379,10 @@ class ContactFrame:
         self._sharp = inv[:d, :d]
         self.reeb = inv[:d, d]
 
-    def sharp(self, eta: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def sharp(self, eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
         pairing = float(eta @ self.reeb)
-        if abs(pairing) > tol * (1.0 + float(np.linalg.norm(eta))):
+        if abs(pairing) > Z0_TOL * (1.0 + float(np.linalg.norm(eta))):
             raise NotInZ0(pairing)
         return self._sharp @ eta
 
@@ -429,10 +430,10 @@ def reeb_at(chart: Chart, x) -> TangentVector:
     return TangentVector(chart.id, fr.x, fr.reeb)
 
 
-def sharp(chart: Chart, x, eta, tol: float = 1e-8) -> TangentVector:
+def sharp(chart: Chart, x, eta) -> TangentVector:
     fr = frame_at(chart, x)
     components = eta.components if isinstance(eta, CoVector) else np.asarray(eta, dtype=float)
-    return TangentVector(chart.id, fr.x, fr.sharp(components, tol))
+    return TangentVector(chart.id, fr.x, fr.sharp(components))
 
 
 def decompose_vector(chart: Chart, x, v) -> tuple[float, TangentVector]:
@@ -481,7 +482,7 @@ def horizontal_basis(alpha: np.ndarray, reeb: np.ndarray) -> tuple[np.ndarray, n
     return basis, count
 
 
-def contact_check(chart: Chart, x, tol: float = numkernel.DEFAULT_RANK_TOL) -> ContactCheck:
+def contact_check(chart: Chart, x) -> ContactCheck:
     """Sampled nondegeneracy test: rank of ``d alpha`` restricted to ker
     alpha, at one point or at each row of an ``(N, dim)`` stack."""
     expected = chart.dim - 1
@@ -498,7 +499,7 @@ def contact_check(chart: Chart, x, tol: float = numkernel.DEFAULT_RANK_TOL) -> C
         basis, count = horizontal_basis(a, reeb)
         full = live & (count == expected)
         restricted = np.where(full[:, None, None], basis @ omega @ basis.transpose(0, 2, 1), 0.0)
-        rank = np.where(full, numkernel.numerical_rank(restricted, tol), count * live)
+        rank = np.where(full, numkernel.numerical_rank(restricted), count * live)
         return full & (rank == expected), np.where(full, abs(np.linalg.det(restricted)), 0.0), rank
 
     stack = np.asarray(x, dtype=float).reshape(-1, chart.dim)

@@ -24,6 +24,8 @@ from .expr import Expression, multiply
 from .geometry import (Chart, ChartField, ContactFrame, FieldLike, FrameStack, TangentVector,
                        as_field, frame_at, frame_stack)
 
+COMMUTATION_TOL = 1e-8  # largest bracket that counts as zero
+
 
 class PreconditionFailed(ContactKitError):
     def __init__(self, what: str, where: np.ndarray, residual: float):
@@ -110,19 +112,18 @@ class IndependenceReport:
     dim_span_without: int
 
 
-def independence(chart: Chart, x, fs: Sequence[FieldLike],
-                 tol: float = numkernel.DEFAULT_RANK_TOL) -> IndependenceReport:
+def independence(chart: Chart, x, fs: Sequence[FieldLike]) -> IndependenceReport:
     """Rank data behind the independence tests: the wedge of alpha with the
     differentials, and the span of the Hamiltonian fields with and without
     the Reeb field."""
     fr = frame_at(chart, x)
     fields = [as_field(chart, f) for f in fs]
     rows = [fr.alpha] + [numkernel.grad(f, fr.x) for f in fields]
-    rank_wedge = numkernel.numerical_rank(np.array(rows), tol)
+    rank_wedge = numkernel.numerical_rank(np.array(rows))
     vectors = np.array([_field_components(fr, f) for f in fields])
-    without = numkernel.numerical_rank(vectors, tol) if len(fields) else 0
+    without = numkernel.numerical_rank(vectors) if len(fields) else 0
     stacked = np.vstack([fr.reeb[None, :], vectors]) if len(fields) else fr.reeb[None, :]
-    with_reeb = numkernel.numerical_rank(stacked, tol)
+    with_reeb = numkernel.numerical_rank(stacked)
     return IndependenceReport(rank_wedge, with_reeb, without)
 
 
@@ -133,8 +134,7 @@ class SymmetryReport:
 
 
 def make_symmetry(chart: Chart, h: Expression, s: Expression, f: Expression,
-                  points: Sequence[np.ndarray],
-                  tol: float = 1e-8) -> tuple[Expression, SymmetryReport]:
+                  points: Sequence[np.ndarray]) -> tuple[Expression, SymmetryReport]:
     """Multiply a symmetry ``s`` of ``h`` by an integral ``f`` of the flow,
     returning the product together with its verified bracket residual.
 
@@ -148,11 +148,11 @@ def make_symmetry(chart: Chart, h: Expression, s: Expression, f: Expression,
     for x in points:
         fr = frame_at(chart, x)
         commutator = bracket(chart, hf, sf, x)
-        if abs(commutator) > tol:
+        if abs(commutator) > COMMUTATION_TOL:
             raise PreconditionFailed("[h, s] != 0", x, abs(commutator))
         xh = _field_components(fr, hf)
         transport = float(numkernel.grad(ff, fr.x) @ xh)
-        if abs(transport) > tol:
+        if abs(transport) > COMMUTATION_TOL:
             raise PreconditionFailed("X_h(f) != 0", x, abs(transport))
     product = multiply(f, s)
     worst = 0.0

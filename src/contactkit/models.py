@@ -13,12 +13,14 @@ bundle of an n-torus times a circle.
 
 Every constructor validates its model at load time: atlas gluing
 identities, sampled contact nondegeneracy, section compatibility,
-commutation residuals of the designated family, and membership of the
-Hamiltonian in the designated span.  Each check takes its samples of a
-chart or an overlap as one stack (one frame stack serves every bracket of a
-chart); a check that raises runs again point by point in the order of a
-per-point loop, and so raises what that loop would.  The records stay on
-the model, and primer2's reduced view is validated on first use.
+commutation residuals of the designated family (within ``COMMUTATION_TOL``)
+and membership of the Hamiltonian in the designated span (within
+``SPAN_TOL``).  Each check takes its samples of a chart or an overlap as one
+stack (one frame stack serves every bracket of a chart); a check that raises
+runs again point by point in the order of a per-point loop, and so raises
+what that loop would.  The records stay on the model, and primer2's reduced
+view is validated on first use.  ``from_config`` checks documents with one
+schema validator built at import.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
-import jsonschema
 import numpy as np
 import yaml
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import expr
 from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _worst,
@@ -38,13 +41,15 @@ from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _worst,
 from .errors import ContactKitError
 from .expr import Expression, compiled, parse
 from .geometry import TWO_PI, Chart, ChartField, contact_check, frame_stack
-from .jacobi import bracket
+from .jacobi import COMMUTATION_TOL, bracket
 
 CONTACT_SAMPLES_PER_CHART = 256
 COMMUTATION_SAMPLES = 100
-COMMUTATION_TOL = 1e-8
+SPAN_TOL = 1e-8  # largest relative residual of the Hamiltonian's fit by the family
 OVERLAP_SAMPLES = 32
-DEFAULT_J_MAX = 1e6
+DEFAULT_J_MAX = 1e6  # fiber ratios of the projective charts stay inside +-DEFAULT_J_MAX
+PROFILE_ZERO_GRID = 2048  # profile_zeros looks for sign changes on this many angles
+PROFILE_ZERO_TOL = 1e-12  # and bisects each to this width
 
 
 class PositivityViolation(ContactKitError):
@@ -155,8 +160,7 @@ def _contact_record(chart: Chart) -> CheckRecord:
     return CheckRecord("contact-nondegeneracy", chart.id, -least, True, where)
 
 
-def _commutation_records(model: Model, chart: Chart, count: int,
-                         tol: float) -> list[CheckRecord]:
+def _commutation_records(model: Model, chart: Chart, count: int) -> list[CheckRecord]:
     """The largest bracket of each designated section with each section on
     the chart's samples: one stack, one frame stack for every pair."""
     samples = _chart_samples(chart, count)
@@ -175,33 +179,29 @@ def _commutation_records(model: Model, chart: Chart, count: int,
     for (si, sj), value in zip(pairs, values):
         worst, where = _worst(np.abs(value), samples)
         records.append(CheckRecord("commutation", f"[{si.name},{sj.name}] on {chart.id}",
-                                   worst, worst <= tol, where))
+                                   worst, worst <= COMMUTATION_TOL, where))
     return records
 
 
-def validate_model(model: Model,
-                   form_tol: float = 1e-9,
-                   section_tol: float = 1e-9,
-                   commutation_tol: float = COMMUTATION_TOL,
-                   strict: bool = True) -> list[CheckRecord]:
+def validate_model(model: Model, strict: bool = True) -> list[CheckRecord]:
     """Run every load-time check and return the full record list.
 
     With ``strict`` (the default) the first failing check raises
     :class:`ValidationError`; otherwise failures stay in the records.
     """
     records: list[CheckRecord] = []
-    records.extend(validate_atlas(model.atlas, form_tol=form_tol).records)
+    records.extend(validate_atlas(model.atlas).records)
     contact = [_contact_record(chart) for chart in model.atlas.charts.values()]
     records.extend(contact)
     for s in model.sections:
-        records.extend(validate_section(model.atlas, s, tol=section_tol).records)
+        records.extend(validate_section(model.atlas, s).records)
 
     # designated sections must commute with the whole family; brackets only
     # make sense on charts that passed the nondegeneracy test
     per_chart = max(1, COMMUTATION_SAMPLES // max(1, len(model.atlas.charts)))
     for chart, nondegenerate in zip(model.atlas.charts.values(), contact):
         if nondegenerate.ok:
-            records.extend(_commutation_records(model, chart, per_chart, commutation_tol))
+            records.extend(_commutation_records(model, chart, per_chart))
 
     if model.hamiltonian is not None:
         records.append(_hamiltonian_span_record(model))
@@ -219,7 +219,7 @@ def _validated(model: Model, validate: bool = True) -> Model:
     return model
 
 
-def _hamiltonian_span_record(model: Model, tol: float = 1e-8) -> CheckRecord:
+def _hamiltonian_span_record(model: Model) -> CheckRecord:
     """Least-squares fit of the Hamiltonian by the designated sections on
     sampled points; the fit residual must vanish."""
     rows = []
@@ -234,7 +234,7 @@ def _hamiltonian_span_record(model: Model, tol: float = 1e-8) -> CheckRecord:
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.max(np.abs(a @ coeffs - b))) / (1.0 + float(np.max(np.abs(b))))
     return CheckRecord("hamiltonian-span", model.hamiltonian.name, residual,
-                       residual < tol)
+                       residual < SPAN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,7 @@ def _ratio_name(j: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _projective_torus_atlas(n: int, j_max: float = DEFAULT_J_MAX,
-                            samples_per_overlap: int = OVERLAP_SAMPLES) -> Atlas:
+def _projective_torus_atlas(n: int, samples_per_overlap: int) -> Atlas:
     """Charts V_i over the (n+1)-torus with fiber ratios J_j = y_j / y_i."""
     dim = 2 * n + 1
     angle_names = [f"phi{j}" for j in range(n + 1)]
@@ -287,7 +286,7 @@ def _projective_torus_atlas(n: int, j_max: float = DEFAULT_J_MAX,
                          else expr.coordinate(_ratio_name(j)))
         alpha.extend([expr.literal(0.0)] * n)
         periodic = (True,) * (n + 1) + (False,) * n
-        bounds = tuple([(0.0, TWO_PI)] * (n + 1) + [(-j_max, j_max)] * n)
+        bounds = tuple([(0.0, TWO_PI)] * (n + 1) + [(-DEFAULT_J_MAX, DEFAULT_J_MAX)] * n)
         sample_box = tuple([(0.0, TWO_PI)] * (n + 1) + [(-2.0, 2.0)] * n)
         denom_text = "1/sqrt(1 + " + " + ".join(f"{r}^2" for r in ratio_names) + ")"
         charts.append(Chart(id=f"V{i}", names=names, alpha=tuple(alpha),
@@ -338,7 +337,7 @@ def _ratio_sections(n: int) -> list[Section]:
     return sections
 
 
-def _profile_times(n: int, f: Expression, base: Section, name: str) -> Section:
+def _profile_times(f: Expression, base: Section, name: str) -> Section:
     local = {cid: expr.multiply(f, e) for cid, e in base.local.items()}
     return Section(name, local)
 
@@ -351,11 +350,12 @@ def _as_profile(n: int, f_expr: Union[str, Expression]) -> Expression:
     return f
 
 
-def profile_zeros(f: Expression, var: str, grid: int = 2048,
-                  tol: float = 1e-12) -> list[float]:
+def profile_zeros(f: Expression, var: str) -> list[float]:
     """Zeros of a one-variable periodic profile on [0, 2 pi), located by sign
-    changes on a grid and bisected to ``tol``.  Useful for seeding the common
-    zero locus of a family whose last section carries the profile."""
+    changes on a grid of ``PROFILE_ZERO_GRID`` angles and bisected to
+    ``PROFILE_ZERO_TOL``.  Useful for seeding the common zero locus of a
+    family whose last section carries the profile."""
+    grid = PROFILE_ZERO_GRID
     angles = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     values = np.array([f.eval({var: a}) for a in angles])
     zeros = []
@@ -369,7 +369,7 @@ def profile_zeros(f: Expression, var: str, grid: int = 2048,
         if fa * fb >= 0.0:
             continue
         lo, hi, flo = a, b, fa
-        while hi - lo > tol:
+        while hi - lo > PROFILE_ZERO_TOL:
             mid = 0.5 * (lo + hi)
             fm = f.eval({var: mid})
             if fm == 0.0:
@@ -384,7 +384,7 @@ def profile_zeros(f: Expression, var: str, grid: int = 2048,
 
 
 def primer(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
-           k: int, j_max: float = DEFAULT_J_MAX, validate: bool = True,
+           k: int, validate: bool = True,
            samples_per_overlap: int = OVERLAP_SAMPLES) -> Model:
     """Torus times projective space with sections s_0..s_n and one extra
     product section f(phi_n) * s_k; the designated commuting family is
@@ -405,9 +405,9 @@ def primer(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
         if value <= 0.0:
             raise PositivityViolation(angle, value)
 
-    atlas = _projective_torus_atlas(n, j_max, samples_per_overlap)
+    atlas = _projective_torus_atlas(n, samples_per_overlap)
     base = _ratio_sections(n)
-    extra = _profile_times(n, f, base[k], f"f*s{k}")
+    extra = _profile_times(f, base[k], f"f*s{k}")
     sections = tuple(base + [extra])
     hamiltonian = combine_sections("h", [(omegas[j], base[j]) for j in range(n)])
     model = Model(name=f"primer({n})", atlas=atlas, sections=sections, r=n - 1,
@@ -438,7 +438,7 @@ def _reduced_view(n: int, omegas: Sequence[float], f: Expression) -> Model:
 
 
 def primer2(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
-            j_max: float = DEFAULT_J_MAX, validate: bool = True,
+            validate: bool = True,
             samples_per_overlap: int = OVERLAP_SAMPLES) -> Model:
     """Same atlas as :func:`primer` with the fully commuting family
     s_0..s_(n-1), f(phi_n) * s_n and Hamiltonian sum omega_j s_j + f s_n.
@@ -454,9 +454,9 @@ def primer2(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
     if len(omegas) != n:
         raise ValueError(f"need {n} frequencies, got {len(omegas)}")
     f = _as_profile(n, f_expr)
-    atlas = _projective_torus_atlas(n, j_max, samples_per_overlap)
+    atlas = _projective_torus_atlas(n, samples_per_overlap)
     base = _ratio_sections(n)
-    last = _profile_times(n, f, base[n], f"f*s{n}")
+    last = _profile_times(f, base[n], f"f*s{n}")
     sections = tuple(base[:n] + [last])
     hamiltonian = combine_sections(
         "h", [(omegas[j], base[j]) for j in range(n)] + [(1.0, last)])
@@ -533,6 +533,8 @@ _CONFIG_SCHEMA = {
         },
     },
 }
+# built once: jsonschema.validate would check the schema itself on every load
+_CONFIG_VALIDATOR = validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
 
 
 def _interval(raw, path: str) -> tuple[float, float]:
@@ -589,14 +591,13 @@ def _build_chart(spec: Mapping, path: str) -> Chart:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap,
-                          count: int = OVERLAP_SAMPLES) -> tuple:
+def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tuple:
     """Probe the source sample box and keep points whose image lands inside
     the destination chart."""
     src = atlas_charts[ov.src]
     dst = atlas_charts[ov.dst]
     kept = []
-    for x in _chart_samples(src, count * 8):
+    for x in _chart_samples(src, OVERLAP_SAMPLES * 8):
         try:
             y = np.array(compiled(ov.forward, src.names).value(*x.tolist()))
         except ContactKitError:
@@ -605,7 +606,7 @@ def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap,
             continue
         if dst.contains(dst.wrap(y)):
             kept.append(x)
-        if len(kept) >= count:
+        if len(kept) >= OVERLAP_SAMPLES:
             break
     return tuple(kept)
 
@@ -626,10 +627,9 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
         name = raw.get("name", path.stem) if isinstance(raw, Mapping) else None
     if not isinstance(raw, Mapping):
         raise SchemaError("$", "top level must be a mapping")
-    try:
-        jsonschema.validate(raw, _CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(exc.json_path, exc.message) from None
+    error = best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise SchemaError(error.json_path, error.message)
 
     charts = {}
     for i, spec in enumerate(raw["charts"]):

@@ -29,8 +29,7 @@ class SingularSystem(ContactKitError):
             f"to working precision (condition estimate {condition:.3e})")
 
 
-def solve(a: np.ndarray, b: np.ndarray,
-          tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, float]:
+def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact or least-squares solution of ``a x = b`` with its residual norm.
 
     Raises :class:`SingularSystem` when the effective column rank of ``a``
@@ -38,7 +37,7 @@ def solve(a: np.ndarray, b: np.ndarray,
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=tol)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=DEFAULT_RANK_TOL)
     if rank < a.shape[1]:
         raise SingularSystem(int(rank), a.shape[1])
     residual = float(np.linalg.norm(a @ x - b))

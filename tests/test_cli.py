@@ -70,6 +70,23 @@ def test_flow_csv_and_sidecar(tmp_path):
     assert events["config"]["t_final"] == 10.0
 
 
+@pytest.mark.parametrize("command", ["check", "flow", "classify", "freq", "actions"])
+def test_every_json_report_embeds_the_run_config(tmp_path, command):
+    out = tmp_path / "report.json"
+    start = [] if command in ("check", "classify") else ["--x0", "0,0,1,0.7,-1.3"]
+    # check writes JSON by default: its format is resolved, not given
+    fmt = [] if command == "check" else ["--format", "json"]
+    assert main([command, *PRIMER_ARGS, "--chart", "V0", *start, "--t-final", "2",
+                 "--samples", "11", "--out", str(out), *fmt]) == 0
+    assert read_json(out)["config"] == {
+        "command": command, "model": "primer", "config": None, "n": 2,
+        "omega": [1.0, 1.4142135623730951], "f": "2+sin(phi2)", "k": 0, "reduced": False,
+        "chart": "V0", "x0": [0.0, 0.0, 1.0, 0.7, -1.3] if start else None,
+        "t_final": 2.0, "rtol": 1e-10, "atol": 1e-10, "strata_tol": 1e-8, "rank_tol": 1e-9,
+        "switch_tol": 1e-3, "samples": 11, "grid": 0, "subdivisions": 8, "seed": 0,
+        "out": str(out), "format": "json"}
+
+
 def test_flow_requires_start_point():
     assert main(["flow", *PRIMER_ARGS]) == 2
 

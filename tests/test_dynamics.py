@@ -230,19 +230,21 @@ def test_leaving_the_atlas():
 
 
 def test_a_sample_outside_the_chart_rejects_the_step():
-    # q1 = sin t peaks at 1 above the wall at 1 - 2e-5, so the sample at
-    # t = pi/2 lies outside the chart although steps can end inside on
-    # either side of the excursion
-    names = ("q0", "q1", "p1")
-    chart = Chart("box", names,
-                  (expr.literal(1.0), expr.coordinate("p1"), expr.literal(0.0)),
-                  (False,) * 3, ((-np.inf, np.inf), (-2.0, 1.0 - 2e-5), (-np.inf, np.inf)))
-    h = Section("h", {"box": parse("(p1^2 + q1^2)/2")})
-    model = Model("box", Atlas([chart]), (h,), 0, h)
-    x0 = chart.point(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(LeftAtlas) as err:
-        flow(model, None, x0, np.pi, n_samples=3)
-    assert err.value.time == pytest.approx(np.arcsin(1.0 - 2e-5), abs=1e-6)
+    # q1 = sin t peaks at 1 above the wall, so the sample at t = pi/2 lies
+    # outside the chart although steps can end inside on either side of the
+    # excursion.  At 1 - 1e-6 the flow comes to rest one ulp below the wall:
+    # a step short enough to be accepted leaves q1 where it is.
+    for wall in (2e-5, 1e-6):
+        names = ("q0", "q1", "p1")
+        chart = Chart("box", names,
+                      (expr.literal(1.0), expr.coordinate("p1"), expr.literal(0.0)),
+                      (False,) * 3, ((-np.inf, np.inf), (-2.0, 1.0 - wall), (-np.inf, np.inf)))
+        h = Section("h", {"box": parse("(p1^2 + q1^2)/2")})
+        model = Model("box", Atlas([chart]), (h,), 0, h)
+        x0 = chart.point(np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(LeftAtlas) as err:
+            flow(model, None, x0, np.pi, n_samples=3, max_steps=3000)
+        assert err.value.time == pytest.approx(np.arcsin(1.0 - wall), abs=1e-6)
 
 
 def test_step_size_underflow(pm2):

@@ -1,7 +1,10 @@
 import textwrap
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from contactkit import expr, models
 from contactkit.bundle import Stratum, classify, momentum, validate_atlas
@@ -339,6 +342,39 @@ def test_schema_error_paths(tmp_path):
     with pytest.raises(SchemaError) as err:
         from_config(path)
     assert "alpha[2]" in str(err.value)
+
+
+def test_config_schema_is_valid():
+    validator_for(models._CONFIG_SCHEMA).check_schema(models._CONFIG_SCHEMA)
+
+
+def test_loading_a_config_does_not_check_the_schema(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config schema was checked again")
+
+    monkeypatch.setattr(validator_for(models._CONFIG_SCHEMA), "check_schema", refuse)
+    model = from_config(Path(__file__).resolve().parent.parent / "perfbench" / "chart_switch.yaml")
+    assert model.atlas.chart_ids == ("V0", "V1")
+
+
+@pytest.mark.parametrize("document", [
+    {"charts": [], "sections": [], "r": 0, "hamiltonian": "h"},
+    {"charts": [{"id": "U", "coordinates": ["q0", "q1"], "alpha": []}],
+     "sections": [{"name": "one", "local": {}}], "r": 0, "hamiltonian": "one"},
+    {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"]}],
+     "sections": [{"name": "one", "local": {"U": 1}}], "r": -1, "hamiltonian": 3},
+    {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"],
+                 "color": "red"}], "sections": [{"name": "one", "local": {"U": "1"}}],
+     "r": 0, "hamiltonian": {"one": "two"}},
+    {"sections": [], "r": "0", "overlaps": [{"from": "U"}]},
+])
+def test_schema_errors_are_those_of_jsonschema_validate(document):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(document, models._CONFIG_SCHEMA)
+    with pytest.raises(SchemaError) as got:
+        from_config(document)
+    assert got.value.path == want.value.json_path
+    assert str(got.value) == f"config error at {want.value.json_path}: {want.value.message}"
 
 
 def test_schema_rejects_unknown_hamiltonian(tmp_path):
