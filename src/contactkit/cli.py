@@ -21,8 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .bundle import Stratum, classify
-from .dynamics import (LeftAtlas, StepSizeUnderflow, coordinate_circle, flow, frequencies,
-                       loop_integral)
+from .dynamics import IntegratorError, coordinate_circle, flow, frequencies, loop_integral
 from .errors import ContactKitError
 from .geometry import Point
 from .models import (ValidationError, canonical, from_config, primer, primer2,
@@ -303,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (StepSizeUnderflow, LeftAtlas) as exc:
+    except IntegratorError as exc:
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except ContactKitError as exc:

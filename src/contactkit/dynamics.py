@@ -140,13 +140,17 @@ _D = np.array([
 ])
 
 
-class StepSizeUnderflow(ContactKitError):
+class IntegratorError(ContactKitError):
+    """The flow stopped short of its final time."""
+
+
+class StepSizeUnderflow(IntegratorError):
     def __init__(self, time: float):
         self.time = time
         super().__init__(f"step size underflow at t = {time:.6g}")
 
 
-class LeftAtlas(ContactKitError):
+class LeftAtlas(IntegratorError):
     def __init__(self, time: float, chart_id: str):
         self.time = time
         self.chart_id = chart_id
@@ -428,7 +432,7 @@ def flow(model, h, x0: Point, t_final: float,
             h_abs = h_try * (min(1.0, factor) if after_rejection else factor)
         after_rejection = False
     else:
-        raise ContactKitError(f"step budget of {max_steps} exhausted at t = {t:.6g}")
+        raise IntegratorError(f"step budget of {max_steps} exhausted at t = {t:.6g}")
 
     return Trajectory(sample_times, points, switches, stats)
 

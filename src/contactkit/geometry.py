@@ -23,8 +23,9 @@ each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
 same condition gate applied per row.  A :class:`ContactFrame` is that
 inverse on a stack of one, so there is one frame path.  A single formula
 on a chart is a :class:`ChartField` (its value and jet, at a point or over
-a stack).  :func:`contact_check` takes one point or a stack too: it runs a
-least-squares Reeb solve per row and everything else stacked.
+a stack).  :func:`contact_check` reads the same ``B`` at a point or a
+stack: nondegenerate exactly where the frames' gate passes, with residual
+``|det B| = (c / n!)^2`` for ``c`` the coefficient of ``alpha ^ (d alpha)^n``.
 :func:`_by_blocks` runs a failing block again row by row, so a stack raises
 what its first failing row raises on its own.
 """
@@ -327,16 +328,16 @@ def dalpha_at(chart: Chart, x) -> np.ndarray:
     return dalpha_matrix(chart, x)
 
 
+# the frame gate: a condition estimate of B that is finite and at most
+# 1 / DEFAULT_RANK_TOL, the rank scale of numkernel.solve
 _COND_LIMIT = 1.0 / numkernel.DEFAULT_RANK_TOL
 
 
-def _bordered_inverse(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Inverses of ``B = [[Omega, alpha^T], [alpha, 0]]`` for a stack: ``alpha``
-    is ``(N, d)``, ``omega`` ``(N, d, d)``, the result ``(N, d + 1, d + 1)``.
-
-    Raises ``SingularSystem`` for the first row whose 1-norm condition
-    estimate of ``B`` is not finite or exceeds ``1 / DEFAULT_RANK_TOL``, the
-    rank scale of ``numkernel.solve``."""
+def _bordered(alpha: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """``B = [[Omega, alpha^T], [alpha, 0]]`` for a stack (``alpha`` is
+    ``(N, d)``, ``omega`` ``(N, d, d)``), its inverse, both ``(N, d + 1,
+    d + 1)``, and per row the 1-norm condition estimate of ``B``, infinite
+    where ``B`` is exactly singular."""
     n, d = alpha.shape
     # the B and then their inverses in one array: one reduction gives every 1-norm
     pair = np.zeros((2 * n, d + 1, d + 1))
@@ -356,19 +357,23 @@ def _bordered_inverse(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
     cond = (norms[:n] * norms[n:]).tolist()
     for k in singular:
         cond[k] = np.inf
+    return bordered, inv, cond
+
+
+def _bordered_inverse(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Inverses ``(N, d + 1, d + 1)`` of the ``B`` of a stack; raises
+    ``SingularSystem`` for the first row that fails the frame gate."""
+    _, inv, cond = _bordered(alpha, omega)
     for c in cond:
         if not c <= _COND_LIMIT:  # a NaN estimate fails too
-            raise numkernel.SingularSystem(None, d + 1, c)
+            raise numkernel.SingularSystem(None, alpha.shape[1] + 1, c)
     return inv
 
 
 class ContactFrame:
     """Contact data of one chart at one point: the bordered inverse of
-    ``B`` on a stack of one.
-
-    Raises ``SingularSystem`` where the 1-norm condition estimate of ``B``
-    is not finite or exceeds ``1 / DEFAULT_RANK_TOL``, the rank scale of
-    ``numkernel.solve``."""
+    ``B`` on a stack of one.  Raises ``SingularSystem`` where ``B`` fails
+    the frame gate."""
 
     def __init__(self, chart: Chart, x):
         self.chart = chart
@@ -456,54 +461,21 @@ class ContactCheck:
     expected_rank: int
 
 
-def horizontal_basis(alpha: np.ndarray, reeb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the ``(N, dim)`` stacks: the coordinate directions pushed
-    into ker alpha along the Reeb direction (along alpha where that pairs to
-    nothing), kept in order while independent.  Returns them as
-    ``(N, dim - 1, dim)``, zero past each row's count, and the counts."""
-    n, dim = alpha.shape
-    pairing = numkernel.row_dot(alpha, reeb)
-    with np.errstate(all="ignore"):
-        candidates = np.eye(dim) - np.where(
-            (np.abs(pairing) > 1e-8)[:, None, None],
-            alpha[:, :, None] * (reeb / pairing[:, None])[:, None, :],
-            alpha[:, :, None] * alpha[:, None, :] / numkernel.row_dot(alpha, alpha)[:, None, None])
-        basis, units = np.zeros((2, n, dim - 1, dim))  # units: Gram-Schmidt of the kept rows
-        count, rows = np.zeros(n, dtype=int), np.arange(n)
-        for v in candidates.transpose(1, 0, 2):
-            w = v
-            for j, u in enumerate(units.transpose(1, 0, 2)):
-                w = np.where((count > j)[:, None], w - numkernel.row_dot(w, u)[:, None] * u, w)
-            norm = np.sqrt(numkernel.row_dot(w, w))
-            take = (norm > 1e-10) & (count < dim - 1)
-            basis[rows[take], count[take]] = v[take]
-            units[rows[take], count[take]] = w[take] / norm[take, None]
-            count += take
-    return basis, count
-
-
 def contact_check(chart: Chart, x) -> ContactCheck:
-    """Sampled nondegeneracy test: rank of ``d alpha`` restricted to ker
-    alpha, at one point or at each row of an ``(N, dim)`` stack."""
-    expected = chart.dim - 1
-    target = np.eye(chart.dim + 1)[-1]
+    """Sampled nondegeneracy from the ``B`` the frames invert, at one point or
+    per row of an ``(N, dim)`` stack: ``ok`` where ``B`` passes the frame gate,
+    exactly where :func:`frame_at` returns; ``det_proxy`` is ``|det B|``;
+    ``rank``, that of ``d alpha`` on ker alpha, is ``numerical_rank(B) - 2``
+    (0 where ``alpha`` vanishes)."""
 
     def run(x: np.ndarray) -> tuple[np.ndarray, ...]:
         a, jac = chart.alpha_kernel.jet_stack(_check_domain(chart, x))
-        omega = jac.transpose(0, 2, 1) - jac
-        live = ~(np.sqrt(numkernel.row_dot(a, a)) < 1e-14)
-        # least squares per row, not a frame: a degenerate form is a result here
-        system, reeb = np.concatenate([omega, a[:, None]], axis=1), np.zeros(a.shape)
-        for k in np.flatnonzero(live):
-            reeb[k] = np.linalg.lstsq(system[k], target, rcond=None)[0]
-        basis, count = horizontal_basis(a, reeb)
-        full = live & (count == expected)
-        restricted = np.where(full[:, None, None], basis @ omega @ basis.transpose(0, 2, 1), 0.0)
-        rank = np.where(full, numkernel.numerical_rank(restricted), count * live)
-        return full & (rank == expected), np.where(full, abs(np.linalg.det(restricted)), 0.0), rank
+        bordered, _, cond = _bordered(a, jac.transpose(0, 2, 1) - jac)
+        rank = np.where(a.any(axis=1), numkernel.numerical_rank(bordered) - 2, 0)
+        return np.array(cond) <= _COND_LIMIT, abs(np.linalg.det(bordered)), rank
 
     stack = np.asarray(x, dtype=float).reshape(-1, chart.dim)
     ok, det, rank = map(np.concatenate, zip(*_by_blocks(run, stack)))
     if np.ndim(x) == 1:
-        return ContactCheck(bool(ok[0]), float(det[0]), int(rank[0]), expected)
-    return ContactCheck(ok, det, rank, expected)
+        return ContactCheck(bool(ok[0]), float(det[0]), int(rank[0]), chart.dim - 1)
+    return ContactCheck(ok, det, rank, chart.dim - 1)

@@ -20,7 +20,7 @@ stack (one frame stack serves every bracket of a chart); a check that raises
 runs again point by point in the order of a per-point loop, and so raises
 what that loop would.  The records stay on the model, and primer2's reduced
 view is validated on first use.  ``from_config`` checks documents with one
-schema validator built at import.
+schema validator built on first use; yaml and jsonschema load only then.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-import yaml
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import expr
 from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _worst,
@@ -533,8 +530,13 @@ _CONFIG_SCHEMA = {
         },
     },
 }
-# built once: jsonschema.validate would check the schema itself on every load
-_CONFIG_VALIDATOR = validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
+
+
+@lru_cache(maxsize=None)
+def _config_validator():
+    """Built once: ``jsonschema.validate`` checks the schema on every load."""
+    from jsonschema.validators import validator_for
+    return validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
 
 
 def _interval(raw, path: str) -> tuple[float, float]:
@@ -613,6 +615,8 @@ def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tup
 
 def from_config(document: Union[str, Path, Mapping]) -> Model:
     """Build and fully validate a model from a YAML/JSON document or path."""
+    import yaml
+    from jsonschema.exceptions import best_match
     if isinstance(document, Mapping):
         raw = document
         name = raw.get("name", "config-model")
@@ -627,7 +631,7 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
         name = raw.get("name", path.stem) if isinstance(raw, Mapping) else None
     if not isinstance(raw, Mapping):
         raise SchemaError("$", "top level must be a mapping")
-    error = best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    error = best_match(_config_validator().iter_errors(raw))
     if error is not None:
         raise SchemaError(error.json_path, error.message)
 

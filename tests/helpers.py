@@ -2,8 +2,9 @@
 atlas, a random polynomial source, and independent oracles (a recursive
 dual-number evaluator, finite differences, the explicit canonical-chart
 bracket formula, the canonical flow equations, the contact field from its
-defining equations, and the per-point validation, contact-check and
-quadrature loops the stacked ones replaced)."""
+defining equations, the per-point validation, contact-check and
+quadrature loops the stacked ones replaced, and the Gram-Schmidt contact
+check on ker alpha that the bordered one replaced)."""
 
 import math
 
@@ -372,7 +373,8 @@ def reference_horizontal_basis(alpha, reeb):
 
 
 def reference_contact_check(chart, x, tol=1e-9):
-    """``(ok, det_proxy, rank, expected_rank)`` at one point."""
+    """``(ok, det_proxy, rank, expected_rank)`` at one point from a basis of
+    ker alpha: the determinant and rank of ``d alpha`` restricted to it."""
     from contactkit import numkernel
     from contactkit.geometry import OutOfDomain
     x = np.asarray(x, dtype=float)
@@ -392,6 +394,31 @@ def reference_contact_check(chart, x, tol=1e-9):
     rank = numkernel.numerical_rank(restricted, tol)
     det = abs(float(np.linalg.det(restricted)))
     return (rank == expected, det, rank, expected)
+
+
+def reference_bordered_check(chart, x):
+    """``(ok, det_proxy, rank, expected_rank)`` at one point from the bordered
+    ``B = [[Omega, alpha^T], [alpha, 0]]`` built here: the frame gate (a
+    1-norm condition of ``B`` at most ``1 / DEFAULT_RANK_TOL``), ``|det B|``
+    and ``numerical_rank(B) - 2``, 0 where alpha vanishes."""
+    from contactkit import numkernel
+    from contactkit.geometry import OutOfDomain
+    x = np.asarray(x, dtype=float)
+    if not chart.contains(x):
+        raise OutOfDomain(chart.id, x)
+    values, rows = chart.alpha_kernel.jet(*x.tolist())
+    grads = np.array(rows)
+    a, d = np.array(values), chart.dim
+    b = np.zeros((d + 1, d + 1))
+    b[:d, :d] = grads.T - grads
+    b[:d, d] = b[d, :d] = a
+    try:
+        cond = np.linalg.norm(b, 1) * np.linalg.norm(np.linalg.inv(b), 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    rank = numkernel.numerical_rank(b) - 2 if a.any() else 0
+    return (bool(cond <= 1.0 / numkernel.DEFAULT_RANK_TOL), abs(float(np.linalg.det(b))),
+            rank, d - 1)
 
 
 def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_tol=1e-9):
@@ -514,7 +541,7 @@ def reference_validate_model(model, form_tol=1e-9, section_tol=1e-9, commutation
         worst = (np.inf, None)
         ok = True
         for x in _chart_samples(chart, CONTACT_SAMPLES_PER_CHART):
-            result_ok, det_proxy, _, _ = reference_contact_check(chart, x)
+            result_ok, det_proxy, _, _ = reference_bordered_check(chart, x)
             if not result_ok:
                 worst = (det_proxy, x)
                 ok = False

@@ -1,8 +1,11 @@
-"""Symbolic oracle for the canonical chart: expressions go to sympy through
-their printed text, sympy differentiates them, and the results are
-evaluated exactly (rationals) or to 30 digits, so no derivative here comes
-from contactkit's own kernels."""
+"""Symbolic oracle: expressions go to sympy through their printed text,
+sympy differentiates them, and the results are evaluated exactly
+(rationals) or to 30 digits, so no derivative here comes from contactkit's
+own kernels.  The bracket and flow equations are those of the canonical
+chart; the contact volume takes any chart."""
 
+import itertools
+import math
 import re
 
 import sympy
@@ -61,3 +64,24 @@ def dissipative_field(f, chart, x):
                   + [d(F, pi) for pi in p]
                   + [-d(F, qi) + pi * d(F, q0) for qi, pi in zip(q, p)])
     return [_at(c, chart, x) for c in components]
+
+
+def contact_volume(chart, x):
+    """``c / n!`` at ``x``, for the coefficient ``c`` of ``dx_0 ^ ... ^ dx_2n``
+    in ``alpha ^ (d alpha)^n``: the sum over permutations ``s`` of ``sgn s
+    a_s(0) prod_i Omega_s(2i-1)s(2i) / 2``, with ``Omega_jk = d_j a_k - d_k
+    a_j`` from sympy's partials, summed at 30 digits."""
+    symbols = sympy.flatten(canonical_symbols(chart))
+    point = dict(zip(symbols, (sympy.Rational(float(v)) for v in x)))
+    a = [to_sympy(e, chart) for e in chart.alpha]
+    values = [a_j.subs(point).evalf(30) for a_j in a]
+    half = [[((sympy.diff(a_k, s_j) - sympy.diff(a_j, s_k)) / 2).subs(point).evalf(30)
+             for a_k, s_k in zip(a, symbols)] for a_j, s_j in zip(a, symbols)]
+    total = sympy.Float(0, 30)
+    for perm in itertools.permutations(range(chart.dim)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(chart.dim), 2))
+        term = values[perm[0]] * (-1) ** inversions
+        for i in range(1, chart.n + 1):
+            term *= half[perm[2 * i - 1]][perm[2 * i]]
+        total += term
+    return float(total / math.factorial(chart.n))

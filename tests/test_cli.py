@@ -1,11 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contactkit import cli
 from contactkit.cli import main
+from contactkit.dynamics import IntegratorError, flow
+from contactkit.models import canonical
 
 PRIMER_ARGS = ["--model", "primer", "--n", "2",
                "--omega", "1,1.4142135623730951", "--f", "2+sin(phi2)", "--k", "0"]
@@ -193,6 +201,19 @@ def test_flow_integrator_failure_exits_3(tmp_path):
     code = main(["flow", "--config", str(config), "--x0", "0,0,1",
                  "--t-final", "5", "--out", str(tmp_path / "t.csv")])
     assert code == 3
+
+
+def test_an_exhausted_step_budget_exits_3(tmp_path, capsys, monkeypatch):
+    model = canonical(1)
+    x0 = model.atlas.chart("canonical").point(np.zeros(3))
+    with pytest.raises(IntegratorError, match="step budget of 3 exhausted"):
+        flow(model, "p1", x0, 100.0, max_steps=3)
+    monkeypatch.setattr(cli, "flow", partial(flow, max_steps=3))
+    code = main(["flow", "--model", "canonical", "--n", "1", "--f", "p1",
+                 "--x0", "0,0,0", "--t-final", "100", "--out", str(tmp_path / "t.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("integrator failure: step budget of 3 exhausted") and err.count("\n") == 1
 
 
 def test_classify_csv_summary_and_determinism(tmp_path):
@@ -418,3 +439,20 @@ def test_overlap_samples_need_one_value_per_coordinate(tmp_path):
     out = tmp_path / "check.json"
     assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
     assert read_json(out)["failure"]["subject"].startswith("config error at $.overlaps[0].samples")
+
+
+def test_a_built_in_model_command_loads_no_config_library(tmp_path):
+    # a fresh interpreter: this one has loaded yaml and jsonschema for other tests
+    script = textwrap.dedent(f"""
+        import sys
+        import contactkit
+        from contactkit import cli
+        code = cli.main(["check", *{PRIMER_ARGS!r}, "--out", {str(tmp_path / "report.json")!r}])
+        print(code, sorted({{name.split(".")[0] for name in sys.modules}}
+                           & {{"yaml", "jsonschema"}}))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "0 []\n"

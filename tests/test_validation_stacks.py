@@ -17,7 +17,7 @@ from contactkit.bundle import Atlas, _worst
 from contactkit.dynamics import Cycle, coordinate_circle, loop_integral
 from contactkit.errors import ContactKitError
 from contactkit.expr import parse
-from contactkit.geometry import Chart, contact_check
+from contactkit.geometry import Chart, contact_check, frame_at
 from contactkit.models import canonical, from_config, primer, primer2, validate_model
 import helpers
 
@@ -201,7 +201,7 @@ def test_stacked_contact_check_rows_equal_the_per_point_check(alpha, rows):
                   ((-np.inf, np.inf),) * 3)
     x = np.array(rows)
     try:
-        want = [helpers.reference_contact_check(chart, row) for row in x]
+        want = [helpers.reference_bordered_check(chart, row) for row in x]
     except ContactKitError as exc:
         with pytest.raises(type(exc)) as err:
             contact_check(chart, x)
@@ -214,6 +214,62 @@ def test_stacked_contact_check_rows_equal_the_per_point_check(alpha, rows):
     one = contact_check(chart, x[0])
     assert (one.ok, one.rank, one.expected_rank) == (want[0][0], want[0][2], want[0][3])
     assert same_bits(one.det_proxy, want[0][1])
+
+
+def _chart(alpha):
+    return Chart("U", ("q0", "q1", "p1"), tuple(map(parse, alpha)), (False,) * 3,
+                 ((-np.inf, np.inf),) * 3)
+
+
+def _frame_outcome(chart, row):
+    """Whether the frame at ``row`` exists, or what else it raised."""
+    try:
+        frame_at(chart, row)
+    except numkernel.SingularSystem:
+        return False
+    except ContactKitError as exc:
+        return type(exc), str(exc)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from(_ALPHAS + [["0", "0", "0"], ["1", "p1*q1", "q1"]]),
+       rows=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                               st.floats(-2.0, 2.0) | st.sampled_from([1e-5, 8.7e-57])),
+                     min_size=1, max_size=20))
+@example(alpha=["1", "p1^3", "0"], rows=[(0.0, 0.0, 1e-5), (0.0, 0.0, 8.7e-57), (0.0, 0.0, 1.0)])
+def test_a_row_is_nondegenerate_exactly_where_its_frame_exists(alpha, rows):
+    chart, x = _chart(alpha), np.array(rows)
+    want = [_frame_outcome(chart, row) for row in x]
+    failure = next((w for w in want if isinstance(w, tuple)), None)
+    if failure is not None:
+        with pytest.raises(failure[0]) as err:
+            contact_check(chart, x)
+        assert str(err.value) == failure[1]
+        return
+    assert contact_check(chart, x).ok.tolist() == want
+
+
+def _validation_samples():
+    """Each chart of the shipped models and the chart-switch config with
+    its validation samples, then degenerate forms on sampled rows."""
+    for spec in [("canonical", 2), ("primer", 2, 0), ("primer2", 2), ("primer2-reduced", 2)]:
+        for chart in _built_in(spec).atlas.charts.values():
+            yield chart, models._chart_samples(chart, models.CONTACT_SAMPLES_PER_CHART)
+    for chart in unvalidated(helpers.CHART_SWITCH_CONFIG).atlas.charts.values():
+        yield chart, models._chart_samples(chart, models.CONTACT_SAMPLES_PER_CHART)
+    rows = np.random.default_rng(5).uniform(-2.0, 2.0, (64, 3))
+    rows[0] = 0.0
+    for alpha in (["1", "0", "0"], ["0", "0", "0"], ["q0", "q1", "p1"]):
+        yield _chart(alpha), rows
+
+
+def test_nondegeneracy_and_rank_equal_the_restriction_to_ker_alpha():
+    for chart, samples in _validation_samples():
+        got = contact_check(chart, samples)
+        want = [helpers.reference_contact_check(chart, x) for x in samples]
+        assert got.ok.tolist() == [w[0] for w in want], chart.id
+        assert got.rank.tolist() == [w[2] for w in want], chart.id
 
 
 # ---------------------------------------------------------------------------
