@@ -243,9 +243,10 @@ class AtlasReport:
 def _worst(values: np.ndarray, samples: np.ndarray,
            start: float = 0.0) -> tuple[float, np.ndarray | None]:
     """The largest of ``values`` above ``start`` with its sample, the first
-    one on ties, as the loop ``if v > worst: worst, where = v, x`` keeps it
-    (NaN never wins); ``(start, None)`` when none is above."""
-    v = np.where(np.isnan(values), -np.inf, values)
+    one on ties, as the loop ``if v > worst: worst, where = v, x`` keeps it,
+    with NaN ranked as +inf so that it fails every tolerance; ``(start,
+    None)`` when none is above."""
+    v = np.where(np.isnan(values), np.inf, values)
     k = int(np.argmax(v)) if len(v) else 0
     if len(v) and v[k] > start:
         return float(values[k]), samples[k]

@@ -21,8 +21,8 @@ raise :class:`LeftAtlas`, when the halved step falls to the resolution of
 with a finite bound: then the point rests one ulp inside a wall, and any
 step short enough to be accepted leaves it there.
 
-:func:`loop_integral` evaluates the Gauss nodes of one refinement level as
-one stack and sums the weighted terms in node order.
+:func:`loop_integral` calls a :class:`Cycle` once per block of Gauss nodes
+and sums the weighted terms in node order.
 """
 
 from __future__ import annotations
@@ -339,7 +339,11 @@ def flow(model, h, x0: Point, t_final: float,
         k1 = rhs(chart, y)
         return True
 
-    k1 = rhs(chart, y)
+    with np.errstate(all="ignore"):
+        k1 = rhs(chart, y)
+    if not np.all(np.isfinite(k1)):
+        # bad input, not an integrator failure: steps reject non-finite stages
+        raise ContactKitError(f"the contact field is not finite at the start point {y.tolist()}")
     scale0 = float(np.linalg.norm(y)) + 1.0
     speed0 = float(np.linalg.norm(k1))
     h_abs = min(abs(t_final), 1e-2 * scale0 / (speed0 + 1e-8), 1.0)
@@ -519,10 +523,11 @@ def frequencies(traj: Trajectory, angle_indices: Sequence[int],
 
 @dataclass(frozen=True)
 class Cycle:
-    """Closed parametrized curve on one chart, parameter running over [0, 1]."""
+    """Closed curve on one chart: ``point`` and ``velocity`` map a 1-D array
+    ``s`` of parameters in [0, 1] to one row each, shape ``(len(s), dim)``."""
 
-    point: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray] | None = None
+    point: Callable[[np.ndarray], np.ndarray]
+    velocity: Callable[[np.ndarray], np.ndarray]
 
 
 def coordinate_circle(chart: Chart, axis: int, base) -> Cycle:
@@ -532,8 +537,8 @@ def coordinate_circle(chart: Chart, axis: int, base) -> Cycle:
     unit = np.zeros(chart.dim)
     unit[axis] = TWO_PI
 
-    return Cycle(point=lambda s: base + s * unit,
-                 velocity=lambda s: unit)
+    return Cycle(point=lambda s: base + np.multiply.outer(s, unit),
+                 velocity=lambda s: np.tile(unit, (len(s), 1)))
 
 
 @dataclass(frozen=True)
@@ -548,30 +553,20 @@ def loop_integral(chart: Chart, cycle: Cycle, subdivisions: int = 8,
 
     Composite Gauss-Legendre quadrature; the reported error is the change
     under doubling the number of panels.  The nodes of one level are one
-    array: the curve and its velocity are called per node, the wrap, the
-    domain check, alpha and the pairing run on the stack, and the weighted
-    terms are summed in node order.
+    stack: one call of the curve and one of its velocity per block, and the
+    weighted terms are summed in node order.
     """
-    start = np.asarray(cycle.point(0.0), dtype=float)
-    end = np.asarray(cycle.point(1.0), dtype=float)
+    start, end = np.asarray(cycle.point(np.array([0.0, 1.0])), dtype=float)
     gap = float(np.max(np.abs(chart.shortest_arc_delta(end, start))))
     if gap > CLOSURE_TOL:
         raise NotClosed(gap)
 
-    if cycle.velocity is not None:
-        velocity = cycle.velocity
-    else:
-        def velocity(s, _h=1e-7):
-            a = np.asarray(cycle.point(s + _h), dtype=float)
-            b = np.asarray(cycle.point(s - _h), dtype=float)
-            return chart.shortest_arc_delta(a, b) / (2.0 * _h)
-
     base_nodes, base_weights = np.polynomial.legendre.leggauss(nodes)
 
     def pairing(ts: np.ndarray) -> np.ndarray:
-        x = _check_domain(chart, chart.wrap(np.array([cycle.point(s) for s in ts], dtype=float)))
+        x = _check_domain(chart, chart.wrap(np.asarray(cycle.point(ts), dtype=float)))
         a = chart.alpha_kernel.value_stack(x)
-        return row_dot(a, np.array([velocity(s) for s in ts], dtype=float))
+        return row_dot(a, np.asarray(cycle.velocity(ts), dtype=float))
 
     def integrate(panels: int) -> float:
         width = 1.0 / panels

@@ -395,10 +395,6 @@ class ContactFrame:
         """``X_f`` from ``f`` and ``df``: ``alpha(X_f) = f``, ``Omega X_f = df - df(Z) alpha``."""
         return self._sharp @ df + value * self.reeb
 
-    def flat(self, v: np.ndarray) -> np.ndarray:
-        # -i_X d alpha has components (Omega @ X) under the sign convention above
-        return self.omega @ np.asarray(v, dtype=float)
-
 
 def frame_at(chart: Chart, x) -> ContactFrame:
     return ContactFrame(chart, _check_domain(chart, x))

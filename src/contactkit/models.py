@@ -218,15 +218,22 @@ def _validated(model: Model, validate: bool = True) -> Model:
 
 def _hamiltonian_span_record(model: Model) -> CheckRecord:
     """Least-squares fit of the Hamiltonian by the designated sections on
-    sampled points; the fit residual must vanish."""
-    rows = []
+    sampled points; the fit residual must vanish.  A sample where a value is
+    not finite fails the check with that sample's largest magnitude."""
+    rows, samples = [], []
     for chart in model.atlas.charts.values():
         h_expr = model.hamiltonian.on(chart.id)
         basis = [s.on(chart.id) for s in model.sections[: model.r + 1]] + [h_expr]
+        x = _chart_samples(chart, 16)
         rows += _by_blocks(lambda x: np.column_stack([ChartField(chart, e).value_stack(x)
-                                                      for e in basis]),
-                           _chart_samples(chart, 16))
+                                                      for e in basis]), x)
+        samples += list(x)
     table = np.concatenate(rows)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        return CheckRecord("hamiltonian-span", model.hamiltonian.name,
+                           float(np.max(np.abs(table[k]))), False, samples[k])
     a, b = table[:, :-1], table[:, -1]
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.max(np.abs(a @ coeffs - b))) / (1.0 + float(np.max(np.abs(b))))

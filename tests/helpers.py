@@ -421,6 +421,16 @@ def reference_bordered_check(chart, x):
             rank, d - 1)
 
 
+def _rank(residual):
+    return math.inf if math.isnan(residual) else residual
+
+
+def worse(value, worst) -> bool:
+    """Whether a residual replaces the worst so far in a per-point loop:
+    NaN ranks as +inf, and the first of equals stays."""
+    return _rank(value) > _rank(worst)
+
+
 def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_tol=1e-9):
     from contactkit.bundle import CheckRecord, OutOfAtlas
     from contactkit.geometry import alpha_components
@@ -442,7 +452,7 @@ def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_
             y = reference_map_coords(atlas, src, dst, x)
             back = reference_map_coords(atlas, dst, src, y)
             rt = float(np.max(np.abs(reference_shortest_arc_delta(src_chart, back, x))))
-            if rt > worst_rt:
+            if worse(rt, worst_rt):
                 worst_rt, where_rt = rt, x
             a = alpha_components(src_chart, x)
             g = ov.factor.eval(src_chart.bindings(x))
@@ -450,7 +460,7 @@ def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_
             b = alpha_components(atlas.charts[dst], y)
             jac = reference_transition_jacobian(atlas, src, dst, x)
             form = float(np.max(np.abs(a - g * (jac.T @ b))))
-            if form > worst_form:
+            if worse(form, worst_form):
                 worst_form, where_form = form, x
         records.append(CheckRecord("roundtrip", subject, worst_rt,
                                    worst_rt < roundtrip_tol, where_rt))
@@ -478,7 +488,7 @@ def reference_validate_atlas(atlas, form_tol=1e-9, cocycle_tol=1e-10, roundtrip_
                 continue
             tested += 1
             dev = max(abs(forward - 1.0), abs(backward - 1.0))
-            if dev > worst:
+            if worse(dev, worst):
                 worst, where = dev, x
         if tested:
             records.append(CheckRecord("cocycle", subject, worst, worst < cocycle_tol, where))
@@ -502,7 +512,7 @@ def reference_validate_section(atlas, s, tol=1e-9):
             right = ov.factor.eval(src_chart.bindings(x)) \
                 * s.local[dst].eval(dst_chart.bindings(y))
             dev = abs(left - right) / (1.0 + abs(left))
-            if dev > worst:
+            if worse(dev, worst):
                 worst, where = dev, x
         records.append(CheckRecord("section-compatibility",
                                    f"{s.name}:{src}->{dst}", worst, worst < tol, where))
@@ -521,6 +531,10 @@ def reference_hamiltonian_span(model, tol=1e-8):
             env = chart.bindings(x)
             rows.append([b.eval(env) for b in basis])
             rhs.append(h_expr.eval(env))
+            values = rows[-1] + [rhs[-1]]
+            if not all(map(math.isfinite, values)):
+                return CheckRecord("hamiltonian-span", model.hamiltonian.name,
+                                   float(np.max(np.abs(values))), False, x)
     a = np.array(rows)
     b = np.array(rhs)
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -565,7 +579,7 @@ def reference_validate_model(model, form_tol=1e-9, section_tol=1e-9, commutation
                 where = None
                 for x in samples:
                     value = abs(bracket(chart, si.on(chart.id), sj.on(chart.id), x))
-                    if value > worst:
+                    if worse(value, worst):
                         worst, where = value, x
                 records.append(CheckRecord("commutation",
                                            f"[{si.name},{sj.name}] on {chart.id}",
@@ -580,21 +594,20 @@ def reference_validate_model(model, form_tol=1e-9, section_tol=1e-9, commutation
 
 
 def reference_loop_integral(chart, cycle, subdivisions=8, nodes=64, closure_tol=1e-9):
-    """``(value, refinement_error)`` of the per-node quadrature loop."""
+    """``(value, refinement_error)`` of the per-node quadrature loop: the
+    cycle is evaluated one parameter at a time."""
     from contactkit.dynamics import NotClosed
     from contactkit.geometry import OutOfDomain, alpha_components
-    start = np.asarray(cycle.point(0.0), dtype=float)
-    end = np.asarray(cycle.point(1.0), dtype=float)
-    gap = float(np.max(np.abs(reference_shortest_arc_delta(chart, end, start))))
+
+    def point(s):
+        return np.asarray(cycle.point(np.array([s])), dtype=float)[0]
+
+    def velocity(s):
+        return np.asarray(cycle.velocity(np.array([s])), dtype=float)[0]
+
+    gap = float(np.max(np.abs(reference_shortest_arc_delta(chart, point(1.0), point(0.0)))))
     if gap > closure_tol:
         raise NotClosed(gap)
-    if cycle.velocity is not None:
-        velocity = cycle.velocity
-    else:
-        def velocity(s, _h=1e-7):
-            a = np.asarray(cycle.point(s + _h), dtype=float)
-            b = np.asarray(cycle.point(s - _h), dtype=float)
-            return reference_shortest_arc_delta(chart, a, b) / (2.0 * _h)
     base_nodes, base_weights = np.polynomial.legendre.leggauss(nodes)
 
     def integrate(panels):
@@ -604,8 +617,7 @@ def reference_loop_integral(chart, cycle, subdivisions=8, nodes=64, closure_tol=
             mid = (p + 0.5) * width
             ts = mid + 0.5 * width * base_nodes
             for w, s in zip(base_weights, ts):
-                x = np.asarray(cycle.point(s), dtype=float)
-                wrapped = chart.wrap(x)
+                wrapped = chart.wrap(point(s))
                 if not chart.contains(wrapped):
                     raise OutOfDomain(chart.id, wrapped)
                 a = alpha_components(chart, wrapped)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -162,6 +163,18 @@ def test_infinite_trig_argument_exits_2_with_one_line(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_non_finite_hamiltonian_at_the_start_exits_2_with_one_line(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["flow", "--model", "canonical", "--n", "1", "--f", "1e999",
+                     "--x0", "0,0,0", "--t-final", "1", "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_division_derivative_underflow_exits_2_with_one_line(capsys, tmp_path):
     # 1/q1 is finite at q1 = 1e-200, but its slope needs q1^2, which underflows
     out = tmp_path / "t.csv"
@@ -233,13 +246,12 @@ def test_classify_csv_summary_and_determinism(tmp_path):
     assert summary["config"]["seed"] == 7
 
 
-def test_classify_seed_reports_are_byte_identical(tmp_path, monkeypatch):
+def test_classify_seed_reports_are_byte_identical(tmp_path):
     out = tmp_path / "sweep.csv"
     args = ["classify", *PRIMER_ARGS, "--chart", "V1", "--samples", "40",
             "--seed", "7", "--out", str(out)]
     reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CONTACTKIT_THREADS", threads)
+    for _ in range(2):
         assert main(args) == 0
         reports.append((out.read_bytes(), (tmp_path / "sweep.summary.json").read_bytes()))
     assert reports[0] == reports[1]
@@ -317,8 +329,7 @@ def test_classify_canonical_trivial_family(tmp_path):
     assert all(r["dimE"] == "1" and r["dimF"] == "1" for r in rows)
 
 
-def test_classify_positive_profile_has_no_zero_locus_rows(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONTACTKIT_THREADS", "2")
+def test_classify_positive_profile_has_no_zero_locus_rows(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["classify", "--model", "primer", "--n", "2",
                  "--omega", "1,1.4142135623730951", "--f", "2+sin(phi2)",

@@ -423,7 +423,8 @@ def test_loop_integral_double_traversal(pm):
 
 def test_loop_integral_rejects_open_curve():
     chart = canonical_chart(1)
-    arc = Cycle(point=lambda s: np.array([0.0, s, 0.3]))
+    arc = Cycle(point=lambda s: np.multiply.outer(s, [0.0, 1.0, 0.0]) + [0.0, 0.0, 0.3],
+                velocity=lambda s: np.tile([0.0, 1.0, 0.0], (len(s), 1)))
     with pytest.raises(NotClosed):
         loop_integral(chart, arc)
 

@@ -130,12 +130,34 @@ FAILING = {
         {"from": "A", "to": "B", "map": ["phi0", "phi1", "sqrt(J - 1)"],
          "factor": "log(J - 1)", "samples": [[0.1, 0.2, 1.5], [0.3, 0.4, 0.5]]}]},
     "span": _one_chart(["1", "p1", "0"], ["p1", "p1*p1"], hamiltonian="s1"),
+    # finite sections whose bracket is NaN (inf times zero) at the samples
+    "nan-bracket": _one_chart(["1", "p1", "0"], ["1", "1e200*q1*p1*1e200"]),
+    # an infinite section: NaN brackets, and a span fit that cannot converge
+    "infinite-section": _one_chart(["1", "p1", "0"], ["1e999", "1e200*q1*p1*1e200"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_failing_config_fails_as_the_per_point_loop(name):
     assert_same_outcome(unvalidated(FAILING[name]))
+
+
+@pytest.mark.parametrize("name, subjects", [
+    ("nan-bracket", {"[s0,s1] on U"}),
+    ("infinite-section", {"[s0,s0] on U", "[s0,s1] on U", "s0"})])
+def test_a_non_finite_residual_fails_its_check(tmp_path, name, subjects):
+    path, out = tmp_path / "model.json", tmp_path / "check.json"
+    path.write_text(json.dumps(FAILING[name]))
+    with np.errstate(all="ignore"):  # the brackets multiply inf by zero
+        records = validate_model(unvalidated(FAILING[name]), strict=False)
+        assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 2
+    failed = {r.subject: r for r in records if not r.ok}
+    assert set(failed) == subjects
+    for r in failed.values():
+        assert not math.isfinite(r.residual) and r.where is not None, r
+    report = json.loads(out.read_text())
+    assert not report["ok"] and report["failure"]["subject"] in subjects
+    assert not math.isfinite(report["failure"]["residual"]) and report["failure"]["where"]
 
 
 def test_cocycle_skips_the_samples_where_a_factor_fails():
@@ -179,13 +201,15 @@ def test_random_two_chart_configs_validate_as_the_per_point_loop(factor, section
 @given(values=st.lists(st.floats(allow_nan=True) | st.just(0.0), max_size=8),
        start=st.sampled_from([0.0, -np.inf]))
 @example(values=[1.0, float("nan"), 2.0], start=0.0)
+@example(values=[float("inf"), float("nan")], start=0.0)
 def test_worst_keeps_what_the_per_point_loop_keeps(values, start):
     samples = np.arange(len(values))
     worst, where = start, None
     for v, x in zip(values, samples):
-        if v > worst:
+        if helpers.worse(v, worst):
             worst, where = v, x
-    assert _worst(np.array(values, dtype=float), samples, start) == (worst, where)
+    got = _worst(np.array(values, dtype=float), samples, start)
+    assert same_bits(got[0], worst) and got[1] == where
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +307,20 @@ _BOXED = Chart("box", ("phi0", "phi1", "I"), (parse("1"), parse("I + sin(phi0)")
 @settings(max_examples=40, deadline=None)
 @given(base=st.tuples(st.floats(0.0, 6.2), st.floats(0.0, 6.2), st.floats(-0.9, 0.9)),
        wobble=st.floats(0.0, 0.5), turns=st.integers(1, 2),
-       subdivisions=st.integers(1, 4), exact_velocity=st.booleans())
-def test_stacked_loop_integral_equals_the_per_node_loop(base, wobble, turns, subdivisions,
-                                                        exact_velocity):
+       subdivisions=st.integers(1, 4))
+def test_stacked_loop_integral_equals_the_per_node_loop(base, wobble, turns, subdivisions):
     phi0, phi1, level = base
 
-    # math functions only: the curve takes one parameter at a time
+    # math functions element by element: a row's bits do not depend on the batch
     def point(s):
-        return np.array([phi0 + 2 * math.pi * turns * s, phi1,
-                         level + wobble * math.sin(2 * math.pi * s)])
+        return np.array([[phi0 + 2 * math.pi * turns * t, phi1,
+                          level + wobble * math.sin(2 * math.pi * t)] for t in s])
 
     def velocity(s):
-        return np.array([2 * math.pi * turns, 0.0,
-                         2 * math.pi * wobble * math.cos(2 * math.pi * s)])
+        return np.array([[2 * math.pi * turns, 0.0,
+                          2 * math.pi * wobble * math.cos(2 * math.pi * t)] for t in s])
 
-    cycle = Cycle(point, velocity if exact_velocity else None)
+    cycle = Cycle(point, velocity)
     try:
         want = helpers.reference_loop_integral(_BOXED, cycle, subdivisions, nodes=16)
     except ContactKitError as exc:  # the wobble leaves the chart at some node
@@ -310,7 +333,10 @@ def test_stacked_loop_integral_equals_the_per_node_loop(base, wobble, turns, sub
 
 
 def test_loop_integral_raises_out_of_domain_at_the_first_node():
-    cycle = Cycle(lambda s: np.array([0.3, 1.0, 0.5 + 0.8 * math.sin(2 * math.pi * s)]))
+    cycle = Cycle(lambda s: np.array([[0.3, 1.0, 0.5 + 0.8 * math.sin(2 * math.pi * t)]
+                                      for t in s]),
+                  lambda s: np.array([[0.0, 0.0, 1.6 * math.pi * math.cos(2 * math.pi * t)]
+                                      for t in s]))
     with pytest.raises(ContactKitError) as want:
         helpers.reference_loop_integral(_BOXED, cycle)
     with pytest.raises(type(want.value)) as got:
