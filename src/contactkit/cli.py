@@ -47,12 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contact-system toolkit: check models, integrate flows, "
                     "classify strata, extract frequencies and actions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, default_format, helptext in [
-            ("check", "json", "validate a model and report per-check residuals"),
-            ("flow", "csv", "integrate a trajectory and write it as CSV"),
-            ("classify", "csv", "stratify sampled points of a chart"),
-            ("freq", "json", "integrate a trajectory and fit winding rates"),
-            ("actions", "json", "loop integrals around the periodic coordinates")]:
+    for name, formats, helptext in [
+            ("check", ["json"], "validate a model and report per-check residuals"),
+            ("flow", ["csv", "json"], "integrate a trajectory and write it as CSV"),
+            ("classify", ["csv", "json"], "stratify sampled points of a chart"),
+            ("freq", ["json"], "integrate a trajectory and fit winding rates"),
+            ("actions", ["json"], "loop integrals around the periodic coordinates")]:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--model", choices=["canonical", "primer", "primer2"],
                          help="built-in model name")
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="quadrature panels for actions")
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
-        cmd.add_argument("--format", choices=["csv", "json"], default=default_format)
+        cmd.add_argument("--format", choices=formats, default=formats[0])
     return parser
 
 
@@ -98,6 +98,8 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ContactKitError(f"--{name} must be at least {least}")
     if not (np.isfinite(args.t_final) and args.t_final != 0.0):
         raise ContactKitError("--t-final must be finite and nonzero")
+    if args.reduced and (args.config or args.model != "primer2"):
+        raise ContactKitError("--reduced applies only to --model primer2 without --config")
     return args
 
 

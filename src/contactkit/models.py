@@ -19,13 +19,13 @@ and membership of the Hamiltonian in the designated span (within
 stack (one frame stack serves every bracket of a chart); a check that raises
 runs again point by point in the order of a per-point loop, and so raises
 what that loop would.  The records stay on the model, and primer2's reduced
-view is validated on first use.  ``from_config`` checks documents with one
-schema validator built on first use; yaml and jsonschema load only then.
+view is validated on first use.  ``from_config`` checks each field where it
+reads it, and loads yaml only then.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
@@ -162,16 +162,19 @@ def _commutation_records(model: Model, chart: Chart, count: int) -> list[CheckRe
     the chart's samples: one stack, one frame stack for every pair."""
     samples = _chart_samples(chart, count)
     pairs = [(model.sections[i], s) for i in range(model.r + 1) for s in model.sections]
-    try:
-        frames = frame_stack(chart, samples)
-        values = [bracket(chart, si.on(chart.id), sj.on(chart.id), samples, frames)
-                  for si, sj in pairs]
-    except Exception:
-        # pair by pair and point by point, the order of a per-point loop
-        for si, sj in pairs:
-            for n in range(len(samples)):
-                bracket(chart, si.on(chart.id), sj.on(chart.id), samples[n:n + 1])
-        raise
+    # a bracket of huge or infinite sections overflows or multiplies inf by
+    # zero: its non-finite value fails the check below, so numpy need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            frames = frame_stack(chart, samples)
+            values = [bracket(chart, si.on(chart.id), sj.on(chart.id), samples, frames)
+                      for si, sj in pairs]
+        except Exception:
+            # pair by pair and point by point, the order of a per-point loop
+            for si, sj in pairs:
+                for n in range(len(samples)):
+                    bracket(chart, si.on(chart.id), sj.on(chart.id), samples[n:n + 1])
+            raise
     records = []
     for (si, sj), value in zip(pairs, values):
         worst, where = _worst(np.abs(value), samples)
@@ -474,86 +477,55 @@ def primer2(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
 # ---------------------------------------------------------------------------
 # config loader
 
-_CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["charts", "sections", "r", "hamiltonian"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "charts": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "coordinates", "alpha"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "coordinates": {"type": "array", "items": {"type": "string"},
-                                    "minItems": 3},
-                    "periodic": {"type": "array", "items": {"type": "string"}},
-                    "alpha": {"type": "array", "items": {"type": "string"}},
-                    "domain": {"type": "object"},
-                    "sample_box": {"type": "object"},
-                    "denominator": {"type": "string"},
-                },
-            },
-        },
-        "overlaps": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["from", "to", "map", "factor"],
-                "additionalProperties": False,
-                "properties": {
-                    "from": {"type": "string"},
-                    "to": {"type": "string"},
-                    "map": {"type": "array", "items": {"type": "string"}},
-                    "factor": {"type": "string"},
-                    "samples": {"type": "array",
-                                "items": {"type": "array",
-                                          "items": {"type": "number"}}},
-                },
-            },
-        },
-        "sections": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "local"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "local": {"type": "object",
-                              "additionalProperties": {"type": "string"}},
-                },
-            },
-        },
-        "r": {"type": "integer", "minimum": 0},
-        "hamiltonian": {
-            "oneOf": [{"type": "string"},
-                      {"type": "object", "additionalProperties": {"type": "number"}}],
-        },
-    },
-}
+_NUMBER = (int, float)
+_KINDS = {str: "a string", list: "a list", Mapping: "a mapping", int: "an integer",
+          _NUMBER: "a number", (str, Mapping): "a section name or a mapping"}
 
 
-@lru_cache(maxsize=None)
-def _config_validator():
-    """Built once: ``jsonschema.validate`` checks the schema on every load."""
-    from jsonschema.validators import validator_for
-    return validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
+def _is(value, kind) -> bool:
+    """``isinstance``, except that a bool is neither a number nor an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _interval(raw, path: str) -> tuple[float, float]:
+def _fields(spec: Mapping, path: str, required: dict, optional: dict) -> None:
+    """``spec`` with every key of ``required``, no key outside ``required``
+    and ``optional``, and each value of the kind its key maps to."""
+    for key in required:
+        if key not in spec:
+            raise SchemaError(path, f"missing key {key!r}")
+    kinds = {**required, **optional}
+    for key, value in spec.items():
+        if key not in kinds:
+            raise SchemaError(path, f"unknown key {key!r}")
+        if not _is(value, kinds[key]):
+            raise SchemaError(f"{path}.{key}", f"expected {_KINDS[kinds[key]]}")
+
+
+def _items(values: list, path: str, kind, least: int = 0) -> list:
+    """``values`` with at least ``least`` items, each of ``kind``."""
+    if len(values) < least:
+        raise SchemaError(path, f"expected at least {least} items")
+    for i, value in enumerate(values):
+        if not _is(value, kind):
+            raise SchemaError(f"{path}[{i}]", f"expected {_KINDS[kind]}")
+    return values
+
+
+def _interval(raw, path: str, finite: bool = False) -> tuple[float, float]:
+    """``[low, high]`` of numbers, numeric strings or nulls (an open side), or
+    null for both; a sample box needs finite bounds."""
     if raw is None:
-        return (-np.inf, np.inf)
+        raw = [None, None]
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise SchemaError(path, "expected [low, high] or null")
-    lo = -np.inf if raw[0] is None else float(raw[0])
-    hi = np.inf if raw[1] is None else float(raw[1])
-    return (lo, hi)
+    try:
+        bounds = (-np.inf if raw[0] is None else float(raw[0]),
+                  np.inf if raw[1] is None else float(raw[1]))
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(path, "bounds must be numbers, numeric strings or null") from None
+    if finite and not np.isfinite(bounds).all():
+        raise SchemaError(path, "sample-box bounds must be finite")
+    return bounds
 
 
 def _parse_expr(text: str, path: str) -> Expression:
@@ -564,34 +536,32 @@ def _parse_expr(text: str, path: str) -> Expression:
 
 
 def _build_chart(spec: Mapping, path: str) -> Chart:
-    names = tuple(spec["coordinates"])
+    _fields(spec, path, {"id": str, "coordinates": list, "alpha": list},
+            {"periodic": list, "domain": Mapping, "sample_box": Mapping, "denominator": str})
+    names = tuple(_items(spec["coordinates"], path + ".coordinates", str, 3))
     if len(names) != len(set(names)):
         raise SchemaError(path + ".coordinates", "duplicate coordinate names")
-    periodic_names = set(spec.get("periodic", []))
+    periodic_names = set(_items(spec.get("periodic", []), path + ".periodic", str))
     unknown = periodic_names - set(names)
     if unknown:
         raise SchemaError(path + ".periodic", f"unknown coordinates {sorted(unknown)}")
-    if len(spec["alpha"]) != len(names):
+    if len(_items(spec["alpha"], path + ".alpha", str)) != len(names):
         raise SchemaError(path + ".alpha", "one coefficient required per coordinate")
     alpha = tuple(_parse_expr(t, f"{path}.alpha[{i}]")
                   for i, t in enumerate(spec["alpha"]))
     domain = spec.get("domain", {})
     bad = set(domain) - set(names)
     if bad:
-        raise SchemaError(path + ".domain", f"unknown coordinates {sorted(bad)}")
+        raise SchemaError(path + ".domain", f"unknown coordinates {sorted(map(str, bad))}")
     bounds = tuple(_interval(domain.get(name), f"{path}.domain.{name}")
                    for name in names)
     box_spec = spec.get("sample_box")
-    sample_box = None
-    if box_spec is not None:
-        sample_box = tuple(
-            _interval(box_spec.get(name), f"{path}.sample_box.{name}")
-            if name in box_spec
-            else ((0.0, TWO_PI) if name in periodic_names else (-2.0, 2.0))
-            for name in names)
-    denominator = None
-    if "denominator" in spec:
-        denominator = _parse_expr(spec["denominator"], path + ".denominator")
+    sample_box = None if box_spec is None else tuple(
+        _interval(box_spec[name], f"{path}.sample_box.{name}", finite=True)
+        if name in box_spec else ((0.0, TWO_PI) if name in periodic_names else (-2.0, 2.0))
+        for name in names)
+    denominator = (_parse_expr(spec["denominator"], path + ".denominator")
+                   if "denominator" in spec else None)
     try:
         return Chart(id=spec["id"], names=names, alpha=alpha,
                      periodic=tuple(n in periodic_names for n in names),
@@ -621,12 +591,13 @@ def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tup
 
 
 def from_config(document: Union[str, Path, Mapping]) -> Model:
-    """Build and fully validate a model from a YAML/JSON document or path."""
+    """Build and fully validate a model from a YAML/JSON document or path.
+
+    Each field is checked where it is read; a malformed one raises
+    :class:`SchemaError` at its path."""
     import yaml
-    from jsonschema.exceptions import best_match
     if isinstance(document, Mapping):
-        raw = document
-        name = raw.get("name", "config-model")
+        raw, name = document, "config-model"
     else:
         path = Path(document)
         try:
@@ -635,40 +606,43 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
             raise SchemaError(str(document), f"cannot read config: {exc}") from exc
         except yaml.YAMLError as exc:
             raise SchemaError(str(document), f"invalid document: {exc}") from exc
-        name = raw.get("name", path.stem) if isinstance(raw, Mapping) else None
+        name = path.stem
     if not isinstance(raw, Mapping):
         raise SchemaError("$", "top level must be a mapping")
-    error = best_match(_config_validator().iter_errors(raw))
-    if error is not None:
-        raise SchemaError(error.json_path, error.message)
+    _fields(raw, "$", {"charts": list, "sections": list, "r": int, "hamiltonian": (str, Mapping)},
+            {"name": str, "overlaps": list})
+    name = raw.get("name", name)
 
     charts = {}
-    for i, spec in enumerate(raw["charts"]):
+    for i, spec in enumerate(_items(raw["charts"], "$.charts", Mapping, 1)):
         chart = _build_chart(spec, f"$.charts[{i}]")
         if chart.id in charts:
             raise SchemaError(f"$.charts[{i}].id", f"duplicate chart id {chart.id!r}")
         charts[chart.id] = chart
 
     overlaps = []
-    for i, spec in enumerate(raw.get("overlaps", [])):
+    for i, spec in enumerate(_items(raw.get("overlaps", []), "$.overlaps", Mapping)):
         path = f"$.overlaps[{i}]"
+        _fields(spec, path, {"from": str, "to": str, "map": list, "factor": str},
+                {"samples": list})
         if spec["from"] not in charts or spec["to"] not in charts:
             raise SchemaError(path, "overlap references an unknown chart")
         dst = charts[spec["to"]]
-        if len(spec["map"]) != dst.dim:
+        if len(_items(spec["map"], path + ".map", str)) != dst.dim:
             raise SchemaError(path + ".map", f"need {dst.dim} target expressions")
         forward = tuple(_parse_expr(t, f"{path}.map[{j}]")
                         for j, t in enumerate(spec["map"]))
         factor = _parse_expr(spec["factor"], path + ".factor")
-        samples = tuple(np.asarray(s, dtype=float) for s in spec.get("samples", ()))
+        samples = tuple(np.asarray(_items(s, f"{path}.samples[{j}]", _NUMBER), dtype=float)
+                        for j, s in enumerate(_items(spec.get("samples", []),
+                                                     path + ".samples", list)))
         if any(s.shape != (charts[spec["from"]].dim,) for s in samples):
             raise SchemaError(path + ".samples", "each sample needs one value per "
                                                  "coordinate of the source chart")
         ov = Overlap(src=spec["from"], dst=spec["to"], forward=forward,
                      factor=factor, samples=samples)
         if not ov.samples:
-            ov = Overlap(ov.src, ov.dst, ov.forward, ov.factor,
-                         _auto_overlap_samples(charts, ov))
+            ov = replace(ov, samples=_auto_overlap_samples(charts, ov))
             if not ov.samples:
                 raise SchemaError(path, "could not find overlap sample points; "
                                         "supply them explicitly")
@@ -677,10 +651,13 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
     atlas = Atlas(list(charts.values()), overlaps)
 
     sections = []
-    for i, spec in enumerate(raw["sections"]):
+    for i, spec in enumerate(_items(raw["sections"], "$.sections", Mapping, 1)):
         path = f"$.sections[{i}]"
+        _fields(spec, path, {"name": str, "local": Mapping}, {})
         local = {}
         for cid, text in spec["local"].items():
+            if not _is(text, str):
+                raise SchemaError(f"{path}.local.{cid}", "expected a string")
             if cid not in charts:
                 raise SchemaError(f"{path}.local.{cid}", "unknown chart id")
             local[cid] = _parse_expr(text, f"{path}.local.{cid}")
@@ -690,8 +667,8 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
         raise SchemaError("$.sections", "duplicate section names")
 
     r = raw["r"]
-    if r >= len(sections):
-        raise SchemaError("$.r", f"r={r} but only {len(sections)} sections")
+    if not 0 <= r < len(sections):
+        raise SchemaError("$.r", f"r={r} must lie in 0..{len(sections) - 1}")
 
     ham_spec = raw["hamiltonian"]
     if isinstance(ham_spec, str):
@@ -699,6 +676,9 @@ def from_config(document: Union[str, Path, Mapping]) -> Model:
             raise SchemaError("$.hamiltonian", f"unknown section {ham_spec!r}")
         hamiltonian = sections[names.index(ham_spec)]
     else:
+        if not ham_spec or not all(_is(c, _NUMBER) for c in ham_spec.values()):
+            raise SchemaError("$.hamiltonian", "expected a section name or a nonempty "
+                                               "mapping of section names to numbers")
         terms = []
         for key, coeff in ham_spec.items():
             if key not in names:

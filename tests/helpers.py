@@ -1,9 +1,9 @@
 """Shared fixtures-by-hand: the canonical chart, the two-chart switching
-atlas, a random polynomial source, and independent oracles (a recursive
-dual-number evaluator, finite differences, the explicit canonical-chart
-bracket formula, the canonical flow equations, the contact field from its
-defining equations, the per-point validation, contact-check and
-quadrature loops the stacked ones replaced, and the Gram-Schmidt contact
+atlas, a random polynomial source, and independent oracles (the config
+schema, a recursive dual-number evaluator, finite differences, the explicit
+canonical-chart bracket formula, the canonical flow equations, the contact
+field from its defining equations, the per-point validation, contact-check
+and quadrature loops the stacked ones replaced, and the Gram-Schmidt contact
 check on ker alpha that the bordered one replaced)."""
 
 import math
@@ -230,6 +230,73 @@ CHART_SWITCH_CONFIG = {
                                          "V1": "sin(phi1)*J0 + 0.1"}}],
     "r": 0,
     "hamiltonian": "h",
+}
+
+
+# The JSON Schema of a config document: the oracle for the field checks of
+# models.from_config
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["charts", "sections", "r", "hamiltonian"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string"},
+        "charts": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["id", "coordinates", "alpha"],
+                "additionalProperties": False,
+                "properties": {
+                    "id": {"type": "string"},
+                    "coordinates": {"type": "array", "items": {"type": "string"},
+                                    "minItems": 3},
+                    "periodic": {"type": "array", "items": {"type": "string"}},
+                    "alpha": {"type": "array", "items": {"type": "string"}},
+                    "domain": {"type": "object"},
+                    "sample_box": {"type": "object"},
+                    "denominator": {"type": "string"},
+                },
+            },
+        },
+        "overlaps": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["from", "to", "map", "factor"],
+                "additionalProperties": False,
+                "properties": {
+                    "from": {"type": "string"},
+                    "to": {"type": "string"},
+                    "map": {"type": "array", "items": {"type": "string"}},
+                    "factor": {"type": "string"},
+                    "samples": {"type": "array",
+                                "items": {"type": "array",
+                                          "items": {"type": "number"}}},
+                },
+            },
+        },
+        "sections": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["name", "local"],
+                "additionalProperties": False,
+                "properties": {
+                    "name": {"type": "string"},
+                    "local": {"type": "object",
+                              "additionalProperties": {"type": "string"}},
+                },
+            },
+        },
+        "r": {"type": "integer", "minimum": 0},
+        "hamiltonian": {
+            "oneOf": [{"type": "string"},
+                      {"type": "object", "additionalProperties": {"type": "number"}}],
+        },
+    },
 }
 
 

@@ -18,6 +18,7 @@ from contactkit.models import canonical
 
 PRIMER_ARGS = ["--model", "primer", "--n", "2",
                "--omega", "1,1.4142135623730951", "--f", "2+sin(phi2)", "--k", "0"]
+CHART_SWITCH_YAML = str(Path(__file__).resolve().parents[1] / "perfbench" / "chart_switch.yaml")
 
 
 def read_json(path):
@@ -452,18 +453,64 @@ def test_overlap_samples_need_one_value_per_coordinate(tmp_path):
     assert read_json(out)["failure"]["subject"].startswith("config error at $.overlaps[0].samples")
 
 
+@pytest.mark.parametrize("where, value, path", [
+    (("charts", 0, "domain"), {"J1": ["abc", 1]}, "$.charts[0].domain.J1"),
+    (("charts", 0, "domain"), {"J1": [0, [1]]}, "$.charts[0].domain.J1"),
+    (("charts", 1, "sample_box"), {"J0": ["abc", 1]}, "$.charts[1].sample_box.J0"),
+    (("charts", 1, "sample_box"), {"J0": [0, [1]]}, "$.charts[1].sample_box.J0"),
+    (("charts", 0, "sample_box"), {"J1": [None, 1]}, "$.charts[0].sample_box.J1"),
+    (("hamiltonian",), {}, "$.hamiltonian"),
+])
+def test_a_malformed_field_is_a_config_error_at_its_path(tmp_path, where, value, path):
+    from helpers import CHART_SWITCH_CONFIG
+    config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
+    parent = config
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert read_json(out)["failure"]["subject"].startswith(f"config error at {path}: ")
+
+
+@pytest.mark.parametrize("command", ["check", "freq", "actions"])
+def test_a_json_only_command_refuses_csv(command, capsys, tmp_path):
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *PRIMER_ARGS, "--chart", "V0", "--x0", "0,0,1,0.7,-1.3",
+              "--t-final", "1", "--format", "csv", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    PRIMER_ARGS,
+    ["--model", "canonical"],
+    ["--config", CHART_SWITCH_YAML],
+    ["--model", "primer2", "--config", CHART_SWITCH_YAML],
+])
+def test_reduced_without_primer2_exits_2_with_one_line(model, capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["check", *model, "--reduced", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --reduced") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_built_in_model_command_loads_no_config_library(tmp_path):
-    # a fresh interpreter: this one has loaded yaml and jsonschema for other tests
-    script = textwrap.dedent(f"""
-        import sys
-        import contactkit
-        from contactkit import cli
-        code = cli.main(["check", *{PRIMER_ARGS!r}, "--out", {str(tmp_path / "report.json")!r}])
-        print(code, sorted({{name.split(".")[0] for name in sys.modules}}
-                           & {{"yaml", "jsonschema"}}))
-    """)
+    # fresh interpreters: this one has loaded yaml and jsonschema for other tests;
+    # a config model needs yaml, and jsonschema is a test-only package
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, check=True)
-    assert result.stdout == "0 []\n"
+    for model, loaded in [(PRIMER_ARGS, []), (["--config", CHART_SWITCH_YAML], ["yaml"])]:
+        script = textwrap.dedent(f"""
+            import sys
+            import contactkit
+            from contactkit import cli
+            code = cli.main(["check", *{model!r}, "--out", {str(tmp_path / "report.json")!r}])
+            print(code, sorted({{name.split(".")[0] for name in sys.modules}}
+                               & {{"yaml", "jsonschema"}}))
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, check=True)
+        assert result.stdout == f"0 {loaded}\n"

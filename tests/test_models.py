@@ -1,7 +1,8 @@
+import collections
+import copy
+import random
 import textwrap
-from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from jsonschema.validators import validator_for
@@ -9,13 +10,14 @@ from jsonschema.validators import validator_for
 from contactkit import expr, models
 from contactkit.bundle import Stratum, classify, momentum, validate_atlas
 from contactkit.dynamics import flow
+from contactkit.errors import ContactKitError
 from contactkit.expr import parse
 from contactkit.geometry import contact_check, reeb_at
 from contactkit.jacobi import ham_field
 from contactkit.models import (PositivityViolation, SchemaError,
                                ValidationError, canonical, from_config, primer,
                                primer2, validate_model)
-from helpers import dissipative_oracle, random_polynomial
+from helpers import CONFIG_SCHEMA, dissipative_oracle, random_polynomial
 
 OMEGA = (1.0, np.sqrt(2.0))
 
@@ -344,37 +346,93 @@ def test_schema_error_paths(tmp_path):
     assert "alpha[2]" in str(err.value)
 
 
-def test_config_schema_is_valid():
-    validator_for(models._CONFIG_SCHEMA).check_schema(models._CONFIG_SCHEMA)
+# A two-chart document with every optional key; its first domain has the
+# numeric-string bounds PyYAML reads from "[-1.0e6, 1.0e6]"
+ORACLE_DOCUMENT = {
+    "name": "two-ratio-charts",
+    "charts": [
+        {"id": "A", "coordinates": ["phi0", "phi1", "J"], "periodic": ["phi0", "phi1"],
+         "alpha": ["1", "J", "0"], "domain": {"J": ["-1.0e6", "1.0e6"]},
+         "sample_box": {"J": [0.4, 1.8]}, "denominator": "1/sqrt(1 + J^2)"},
+        {"id": "B", "coordinates": ["phi0", "phi1", "J"], "periodic": ["phi0", "phi1"],
+         "alpha": ["J", "1", "0"], "domain": {"J": [None, 1.0e6]},
+         "sample_box": {"J": [0.4, 1.8]}, "denominator": "1/sqrt(1 + J^2)"},
+    ],
+    "overlaps": [
+        {"from": "A", "to": "B", "map": ["phi0", "phi1", "1/J"], "factor": "J",
+         "samples": [[0.1, 0.2, 0.5], [1.0, 2.0, 1.5]]},
+        {"from": "B", "to": "A", "map": ["phi0", "phi1", "1/J"], "factor": "J",
+         "samples": [[0.3, 0.4, 0.7], [2.0, 1.0, 1.2]]},
+    ],
+    "sections": [{"name": "s0", "local": {"A": "1", "B": "J"}},
+                 {"name": "s1", "local": {"A": "J", "B": "1"}}],
+    "r": 0,
+    "hamiltonian": {"s0": 2.0},
+}
+_MUTANT_VALUES = [None, True, False, 0, 1, -1, 2.5, "", "x", "J", "1", "s0", "A", [], [1],
+                  ["x"], ["J", "1"], [0.5, 1.5], [[0.1, 0.2, 0.5]], {}, {"J": "1"},
+                  {"s0": 1}, {"J": [0, 1]}]
+_MUTANT_KEYS = ["name", "color", "J", "A", "s1", "samples", "periodic", "r"]
 
 
-def test_loading_a_config_does_not_check_the_schema(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the config schema was checked again")
+def _mutant(rng, document):
+    """``document`` with one key dropped or added, or one value replaced."""
+    doc = copy.deepcopy(document)
+    nodes = [((), doc)]
+    for path, node in nodes:  # grows as it goes: every node, parents first
+        if isinstance(node, (dict, list)):
+            keys = node if isinstance(node, dict) else range(len(node))
+            nodes += [(path + (key,), node[key]) for key in keys]
+    value = copy.deepcopy(rng.choice(_MUTANT_VALUES))
+    kind = rng.choice(["drop", "add", "replace"])
+    if kind != "replace":
+        _, mapping = rng.choice([(p, v) for p, v in nodes if isinstance(v, dict) and v])
+        if kind == "drop":
+            del mapping[rng.choice(sorted(mapping))]
+        else:
+            mapping[rng.choice(_MUTANT_KEYS)] = value
+        return doc
+    path, _ = rng.choice(nodes[1:])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
-    monkeypatch.setattr(validator_for(models._CONFIG_SCHEMA), "check_schema", refuse)
-    model = from_config(Path(__file__).resolve().parent.parent / "perfbench" / "chart_switch.yaml")
-    assert model.atlas.chart_ids == ("V0", "V1")
 
-
-@pytest.mark.parametrize("document", [
-    {"charts": [], "sections": [], "r": 0, "hamiltonian": "h"},
-    {"charts": [{"id": "U", "coordinates": ["q0", "q1"], "alpha": []}],
-     "sections": [{"name": "one", "local": {}}], "r": 0, "hamiltonian": "one"},
-    {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"]}],
-     "sections": [{"name": "one", "local": {"U": 1}}], "r": -1, "hamiltonian": 3},
-    {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"],
-                 "color": "red"}], "sections": [{"name": "one", "local": {"U": "1"}}],
-     "r": 0, "hamiltonian": {"one": "two"}},
-    {"sections": [], "r": "0", "overlaps": [{"from": "U"}]},
-])
-def test_schema_errors_are_those_of_jsonschema_validate(document):
-    with pytest.raises(jsonschema.ValidationError) as want:
-        jsonschema.validate(document, models._CONFIG_SCHEMA)
-    with pytest.raises(SchemaError) as got:
-        from_config(document)
-    assert got.value.path == want.value.json_path
-    assert str(got.value) == f"config error at {want.value.json_path}: {want.value.message}"
+def test_config_errors_are_reported_where_the_schema_reports_them():
+    """Every document the schema rejects fails with a SchemaError at one of
+    the schema's error paths (its only one, if it has one), and no document
+    fails with anything but a ContactKitError."""
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    validator = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    assert from_config(ORACLE_DOCUMENT).atlas.chart_ids == ("A", "B")
+    examples = [
+        {"charts": [], "sections": [], "r": 0, "hamiltonian": "h"},
+        {"charts": [{"id": "U", "coordinates": ["q0", "q1"], "alpha": []}],
+         "sections": [{"name": "one", "local": {}}], "r": 0, "hamiltonian": "one"},
+        {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"]}],
+         "sections": [{"name": "one", "local": {"U": 1}}], "r": -1, "hamiltonian": 3},
+        {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"],
+                     "color": "red"}], "sections": [{"name": "one", "local": {"U": "1"}}],
+         "r": 0, "hamiltonian": {"one": "two"}},
+        {"sections": [], "r": "0", "overlaps": [{"from": "U"}]},
+    ]
+    rng = random.Random(17)
+    mutants = [_mutant(rng, ORACLE_DOCUMENT) for _ in range(2000)]
+    outcomes = collections.Counter()
+    for document in [*examples, *mutants]:
+        want = {error.json_path for error in validator.iter_errors(document)}
+        try:
+            from_config(document)
+            got = None
+        except SchemaError as exc:
+            got = exc.path
+        except ContactKitError:
+            got = "other"
+        assert not want or got in want, (document, want, got)
+        outcomes["rejected" if want else "loaded" if got is None else "refused"] += 1
+    assert outcomes["rejected"] > 1000 and outcomes["loaded"] > 100, outcomes
 
 
 def test_schema_rejects_unknown_hamiltonian(tmp_path):

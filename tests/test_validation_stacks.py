@@ -5,6 +5,7 @@ same exception type and message when a check fails or raises."""
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -145,12 +146,18 @@ def test_failing_config_fails_as_the_per_point_loop(name):
 @pytest.mark.parametrize("name, subjects", [
     ("nan-bracket", {"[s0,s1] on U"}),
     ("infinite-section", {"[s0,s0] on U", "[s0,s1] on U", "s0"})])
-def test_a_non_finite_residual_fails_its_check(tmp_path, name, subjects):
+def test_a_non_finite_residual_fails_its_check(tmp_path, capsys, name, subjects):
     path, out = tmp_path / "model.json", tmp_path / "check.json"
     path.write_text(json.dumps(FAILING[name]))
-    with np.errstate(all="ignore"):  # the brackets multiply inf by zero
+    with warnings.catch_warnings():
+        # the brackets multiply inf by zero, and say so only in their records
+        warnings.simplefilter("error")
         records = validate_model(unvalidated(FAILING[name]), strict=False)
         assert cli.main(["check", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    with np.errstate(all="ignore"):
+        assert_same_records(records, helpers.reference_validate_model(
+            unvalidated(FAILING[name]), strict=False))
     failed = {r.subject: r for r in records if not r.ok}
     assert set(failed) == subjects
     for r in failed.values():
