@@ -2,7 +2,9 @@ import collections
 import copy
 import random
 import textwrap
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from jsonschema.validators import validator_for
@@ -346,6 +348,50 @@ def test_schema_error_paths(tmp_path):
     assert "alpha[2]" in str(err.value)
 
 
+def test_config_schema_is_valid():
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_loading_a_config_does_not_check_the_schema(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config was checked with jsonschema")
+
+    validator = validator_for(CONFIG_SCHEMA)
+    for name in ("check_schema", "iter_errors", "validate"):
+        monkeypatch.setattr(validator, name, refuse)
+    monkeypatch.setattr(jsonschema, "validate", refuse)
+    model = from_config(Path(__file__).resolve().parent.parent / "perfbench" / "chart_switch.yaml")
+    assert model.atlas.chart_ids == ("V0", "V1")
+
+
+# Documents the schema rejects, most of them for more than one reason
+SCHEMA_EXAMPLES = [
+    {"charts": [], "sections": [], "r": 0, "hamiltonian": "h"},
+    {"charts": [{"id": "U", "coordinates": ["q0", "q1"], "alpha": []}],
+     "sections": [{"name": "one", "local": {}}], "r": 0, "hamiltonian": "one"},
+    {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"]}],
+     "sections": [{"name": "one", "local": {"U": 1}}], "r": -1, "hamiltonian": 3},
+    {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"],
+                 "color": "red"}], "sections": [{"name": "one", "local": {"U": "1"}}],
+     "r": 0, "hamiltonian": {"one": "two"}},
+    {"sections": [], "r": "0", "overlaps": [{"from": "U"}]},
+]
+
+
+@pytest.mark.parametrize("document", SCHEMA_EXAMPLES)
+def test_schema_errors_are_those_of_jsonschema_validate(document):
+    """The loader reports the first error it meets, which need not be the one
+    jsonschema ranks best, but always at one of the schema's error paths."""
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(document, CONFIG_SCHEMA)
+    want = {error.json_path for error in validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+            .iter_errors(document)}
+    with pytest.raises(SchemaError) as got:
+        from_config(document)
+    assert got.value.path in want
+    assert str(got.value).startswith(f"config error at {got.value.path}: ")
+
+
 # A two-chart document with every optional key; its first domain has the
 # numeric-string bounds PyYAML reads from "[-1.0e6, 1.0e6]"
 ORACLE_DOCUMENT = {
@@ -404,24 +450,12 @@ def test_config_errors_are_reported_where_the_schema_reports_them():
     """Every document the schema rejects fails with a SchemaError at one of
     the schema's error paths (its only one, if it has one), and no document
     fails with anything but a ContactKitError."""
-    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
     validator = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
     assert from_config(ORACLE_DOCUMENT).atlas.chart_ids == ("A", "B")
-    examples = [
-        {"charts": [], "sections": [], "r": 0, "hamiltonian": "h"},
-        {"charts": [{"id": "U", "coordinates": ["q0", "q1"], "alpha": []}],
-         "sections": [{"name": "one", "local": {}}], "r": 0, "hamiltonian": "one"},
-        {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"]}],
-         "sections": [{"name": "one", "local": {"U": 1}}], "r": -1, "hamiltonian": 3},
-        {"charts": [{"id": "U", "coordinates": ["q0", "q1", "p1"], "alpha": ["1", "p1", "0"],
-                     "color": "red"}], "sections": [{"name": "one", "local": {"U": "1"}}],
-         "r": 0, "hamiltonian": {"one": "two"}},
-        {"sections": [], "r": "0", "overlaps": [{"from": "U"}]},
-    ]
     rng = random.Random(17)
     mutants = [_mutant(rng, ORACLE_DOCUMENT) for _ in range(2000)]
     outcomes = collections.Counter()
-    for document in [*examples, *mutants]:
+    for document in [*SCHEMA_EXAMPLES, *mutants]:
         want = {error.json_path for error in validator.iter_errors(document)}
         try:
             from_config(document)
