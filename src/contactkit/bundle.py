@@ -186,7 +186,7 @@ def combine_sections(name: str, terms: Sequence[tuple[float, Section]]) -> Secti
 
 def section_value(atlas: Atlas, s: Section, point: Point) -> float:
     chart = atlas.chart_of(point)
-    return s.on(chart.id).eval(chart.bindings(point.coords))
+    return ChartField(chart, s.on(chart.id))(point.coords)
 
 
 def section_field(atlas: Atlas, s: Section, point: Point) -> TangentVector:
@@ -356,8 +356,7 @@ class RescaledFamily:
     charts: Mapping[str, Chart]
 
     def chart_at(self, atlas: Atlas, point: Point) -> Chart:
-        rep = self.section.on(point.chart)
-        value = rep.eval(atlas.chart(point.chart).bindings(point.coords))
+        value = ChartField(atlas.chart(point.chart), self.section.on(point.chart))(point.coords)
         if abs(value) <= ZERO_TOL:
             raise ZeroDivisor(point.chart, point.coords, value)
         return self.charts[point.chart]

@@ -213,11 +213,17 @@ def _sweep_points(cfg: argparse.Namespace, model):
         if cfg.grid ** chart.dim > MAX_GRID_POINTS:
             raise ContactKitError(f"--grid {cfg.grid}^{chart.dim} exceeds {MAX_GRID_POINTS} points")
         axes = []
-        for (lo, hi), per in zip(box, chart.periodic):
+        for (lo, hi), per, (low, high) in zip(box, chart.periodic, chart.bounds):
             if per:
                 axes.append(np.linspace(0.0, 2.0 * np.pi, cfg.grid, endpoint=False))
-            else:
-                axes.append(np.linspace(lo, hi, cfg.grid))
+                continue
+            axis = np.linspace(lo, hi, cfg.grid)
+            # domains are open: an end point on a bound moves one ulp inside
+            if axis[0] == low:
+                axis[0] = np.nextafter(low, hi)
+            if axis[-1] == high:
+                axis[-1] = np.nextafter(high, lo)
+            axes.append(axis)
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=-1)
     else:

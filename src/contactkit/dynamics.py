@@ -242,7 +242,7 @@ def _stalled_at_a_wall(chart: Chart, y: np.ndarray, y1: np.ndarray) -> bool:
 def _chart_health(chart: Chart, x: np.ndarray) -> float:
     if chart.denominator is not None:
         try:
-            return abs(chart.denominator.eval(chart.bindings(x)))
+            return abs(chart.denominator_field(x))
         except DomainError:
             return 0.0
     return min(_boundary_gap(chart, x), 1.0)

@@ -20,14 +20,16 @@ carrying the span of the offending subexpression instead of propagating
 NaN.  A span covers the parentheses around an operand.
 
 Formulas compile to straight-line Python only through :func:`compiled`,
-a bounded memo giving equal formulas over equal names one :class:`Kernel`
-(a chart's contact form, an overlap's map, a section family on a chart, a
-single formula).  A kernel generates on first use one function for the
-value, one for the value with the full gradient (the jet, forward mode
-with the component arithmetic of dual numbers, every direction in one
-call) and one for a single directional derivative.  The domain guards are
-inline in the generated code; the source never contains a coordinate name
-or any text of the formula.  The value and the jet also compile to array
+a bounded memo giving equal formulas over equal names one :class:`Kernel`.
+Every formula on a chart compiles over the chart's coordinates (its
+contact form, an overlap's map from it, a section family or a single
+formula on it); only a free formula compiles over its own arguments.  A
+kernel generates on first use one function for the value, one for the
+value with the full gradient (the jet, forward mode with the component
+arithmetic of dual numbers, every direction in one call) and one for a
+single directional derivative.  The domain guards are inline in the
+generated code; the source never contains a coordinate name or any text
+of the formula.  The value and the jet also compile to array
 functions over a stack of points, one row each, generated from the same
 node list: one numpy operation per node (``math`` element by element where
 a numpy ufunc may round differently), each guard one vectorized test, and
@@ -803,7 +805,8 @@ def compiled(exprs: tuple[Expression, ...], names: tuple[str, ...]) -> Kernel:
     """The :class:`Kernel` of ``exprs`` over ``names``, one per distinct
     pair: equal formulas (same tree, same source text, which domain errors
     quote) over equal names share one kernel and its compiled functions,
-    however many charts, overlaps or models hold them."""
+    however many charts, overlaps or models hold them.  A formula on a
+    chart compiles over the chart's names, a free one over its arguments."""
     return Kernel(exprs, names)
 
 

@@ -23,8 +23,9 @@ each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
 same condition gate applied per row.  A :class:`ContactFrame` is that
 inverse on a stack of one, so there is one frame path.  A single formula
 on a chart is a :class:`ChartField` (its value and jet, at a point or over
-a stack).  :func:`contact_check` reads the same ``B`` at a point or a
-stack: nondegenerate exactly where the frames' gate passes, with residual
+a stack), compiled over the chart's coordinates as the contact form is.
+:func:`contact_check` reads the same ``B`` at a point or a stack:
+nondegenerate exactly where the frames' gate passes, with residual
 ``|det B| = (c / n!)^2`` for ``c`` the coefficient of ``alpha ^ (d alpha)^n``.
 :func:`_by_blocks` runs a failing block again row by row, so a stack raises
 what its first failing row raises on its own.
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import numkernel
 from .errors import ContactKitError
-from .expr import Expression, Kernel, UnboundName, compiled, parse
+from .expr import Expression, Kernel, compiled, parse
 
 TWO_PI = 2.0 * np.pi
 Z0_TOL = 1e-8  # largest pairing with Reeb, relative to 1 + |eta|, that sharp accepts
@@ -132,6 +133,11 @@ class Chart:
     def alpha_kernel(self) -> Kernel:
         """The coefficients of the contact form compiled over ``names``."""
         return compiled(self.alpha, self.names)
+
+    @cached_property
+    def denominator_field(self) -> ChartField | None:
+        """The chart-health ``denominator`` as a field on this chart, if any."""
+        return None if self.denominator is None else ChartField(self, self.denominator)
 
     @cached_property
     def _axes(self) -> tuple[list[int], tuple[tuple[int, float, float], ...]]:
@@ -230,48 +236,34 @@ def _floats(x) -> list[float]:
 class ChartField:
     """Scalar field on a chart backed by an expression; derivatives are exact.
 
-    The expression's own kernel does the work, through the chart positions
-    of its arguments, so building a field compiles nothing; the first
-    argument the chart lacks raises ``UnboundName`` as ``Expression.eval``
-    does."""
+    The formula is compiled over the chart's coordinates, like the contact
+    form, so equal formulas on one chart share one kernel; a name the chart
+    lacks raises ``UnboundName`` as ``Expression.eval`` does."""
 
     def __init__(self, chart: Chart, e: Union[Expression, str]):
         self.chart = chart
         self.expr = e if isinstance(e, Expression) else parse(e)
-        missing = [name for name in self.expr.arguments if name not in chart.names]
-        if missing:
-            raise UnboundName(missing[0])
-        self._positions = tuple(chart.names.index(name) for name in self.expr.arguments)
-
-    def _args(self, x) -> list[float]:
-        xs = _floats(x)
-        return [xs[i] for i in self._positions]
+        self.kernel = compiled((self.expr,), chart.names)
 
     def __call__(self, x) -> float:
-        return self.expr.kernel.value(*self._args(x))[0]
+        return self.kernel.value(*_floats(x))[0]
 
     def jet(self, x) -> tuple[float, np.ndarray]:
         """Value and gradient at ``x`` from one call of the kernel's jet."""
-        (value,), (partials,) = self.expr.kernel.jet(*self._args(x))
-        out = [0.0] * self.chart.dim
-        for i, d in zip(self._positions, partials):
-            out[i] = d
-        return value, np.array(out)
+        (value,), (partials,) = self.kernel.jet(*_floats(x))
+        return value, np.array(partials)
 
     def gradient(self, x) -> np.ndarray:
         return self.jet(x)[1]
 
     def value_stack(self, x: np.ndarray) -> np.ndarray:
         """Values at the rows of an ``(N, dim)`` stack."""
-        return self.expr.kernel.value_stack(x[:, self._positions])[:, 0]
+        return self.kernel.value_stack(x)[:, 0]
 
     def jet_stack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values ``(N,)`` and gradients ``(N, dim)`` at the rows of an
-        ``(N, dim)`` stack, from one call of the kernel's stacked jet."""
-        values, partials = self.expr.kernel.jet_stack(x[:, self._positions])
-        grads = np.zeros(x.shape)
-        grads[:, self._positions] = partials[:, 0]
-        return values[:, 0], grads
+        """Values ``(N,)`` and gradients ``(N, dim)`` at the rows of an ``(N, dim)`` stack."""
+        values, partials = self.kernel.jet_stack(x)
+        return values[:, 0], partials[:, 0]
 
 
 FieldLike = Union[Expression, str, ChartField, Callable[[np.ndarray], float]]
@@ -279,11 +271,7 @@ FieldLike = Union[Expression, str, ChartField, Callable[[np.ndarray], float]]
 
 def as_field(chart: Chart, f: FieldLike):
     """Coerce an expression, source text or callable to a scalar field on the chart."""
-    if isinstance(f, ChartField):
-        return f
-    if isinstance(f, (Expression, str)):
-        return ChartField(chart, f)
-    return f
+    return ChartField(chart, f) if isinstance(f, (Expression, str)) else f
 
 
 def _check_domain(chart: Chart, x) -> np.ndarray:

@@ -513,7 +513,7 @@ def _items(values: list, path: str, kind, least: int = 0) -> list:
 
 def _interval(raw, path: str, finite: bool = False) -> tuple[float, float]:
     """``[low, high]`` of numbers, numeric strings or nulls (an open side), or
-    null for both; a sample box needs finite bounds."""
+    null for both, with ``low < high``; a sample box needs finite bounds."""
     if raw is None:
         raw = [None, None]
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
@@ -525,6 +525,8 @@ def _interval(raw, path: str, finite: bool = False) -> tuple[float, float]:
         raise SchemaError(path, "bounds must be numbers, numeric strings or null") from None
     if finite and not np.isfinite(bounds).all():
         raise SchemaError(path, "sample-box bounds must be finite")
+    if not bounds[0] < bounds[1]:
+        raise SchemaError(path, "expected low < high")
     return bounds
 
 
@@ -542,32 +544,33 @@ def _build_chart(spec: Mapping, path: str) -> Chart:
     if len(names) != len(set(names)):
         raise SchemaError(path + ".coordinates", "duplicate coordinate names")
     periodic_names = set(_items(spec.get("periodic", []), path + ".periodic", str))
-    unknown = periodic_names - set(names)
-    if unknown:
-        raise SchemaError(path + ".periodic", f"unknown coordinates {sorted(unknown)}")
+    for key in ("periodic", "domain", "sample_box"):
+        bad = set(spec.get(key, ())) - set(names)
+        if bad:
+            raise SchemaError(f"{path}.{key}", f"unknown coordinates {sorted(map(str, bad))}")
     if len(_items(spec["alpha"], path + ".alpha", str)) != len(names):
         raise SchemaError(path + ".alpha", "one coefficient required per coordinate")
     alpha = tuple(_parse_expr(t, f"{path}.alpha[{i}]")
                   for i, t in enumerate(spec["alpha"]))
     domain = spec.get("domain", {})
-    bad = set(domain) - set(names)
-    if bad:
-        raise SchemaError(path + ".domain", f"unknown coordinates {sorted(map(str, bad))}")
     bounds = tuple(_interval(domain.get(name), f"{path}.domain.{name}")
                    for name in names)
-    box_spec = spec.get("sample_box")
-    sample_box = None if box_spec is None else tuple(
-        _interval(box_spec[name], f"{path}.sample_box.{name}", finite=True)
-        if name in box_spec else ((0.0, TWO_PI) if name in periodic_names else (-2.0, 2.0))
-        for name in names)
     denominator = (_parse_expr(spec["denominator"], path + ".denominator")
                    if "denominator" in spec else None)
     try:
-        return Chart(id=spec["id"], names=names, alpha=alpha,
-                     periodic=tuple(n in periodic_names for n in names),
-                     bounds=bounds, sample_box=sample_box, denominator=denominator)
+        chart = Chart(id=spec["id"], names=names, alpha=alpha,
+                      periodic=tuple(n in periodic_names for n in names),
+                      bounds=bounds, denominator=denominator)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
+    box_spec = spec.get("sample_box")
+    if box_spec is None:
+        return chart
+    # a coordinate the sample box leaves out keeps the chart's own default
+    default = chart.effective_sample_box()
+    return replace(chart, sample_box=tuple(
+        _interval(box_spec[name], f"{path}.sample_box.{name}", finite=True)
+        if name in box_spec else default[i] for i, name in enumerate(names)))
 
 
 def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tuple:
@@ -575,10 +578,11 @@ def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tup
     the destination chart."""
     src = atlas_charts[ov.src]
     dst = atlas_charts[ov.dst]
+    forward = compiled(ov.forward, src.names).value
     kept = []
     for x in _chart_samples(src, OVERLAP_SAMPLES * 8):
         try:
-            y = np.array(compiled(ov.forward, src.names).value(*x.tolist()))
+            y = np.array(forward(*x.tolist()))
         except ContactKitError:
             continue
         if not np.all(np.isfinite(y)):

@@ -151,6 +151,26 @@ def test_rescale_by_unit_keeps_form():
     assert np.allclose(a0, a1)
 
 
+def test_section_value_is_the_formula_on_the_chart(pm):
+    """``section_value`` and the rescaled family's zero test read each
+    representative as ``Expression.eval`` of the chart's bindings does, bit
+    for bit."""
+    rng = np.random.default_rng(71)
+    family = rescale(pm.atlas, pm.section("s0"))
+    for cid in pm.atlas.chart_ids:
+        chart = pm.atlas.chart(cid)
+        for _ in range(20):
+            x = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 3), rng.uniform(0.1, 2.0, 2)])
+            point = chart.point(x)
+            for s in (*pm.sections, pm.hamiltonian):
+                assert section_value(pm.atlas, s, point) == s.on(cid).eval(chart.bindings(x))
+            assert family.chart_at(pm.atlas, point) is family.charts[cid]
+    point = pm.atlas.chart("V1").point([0.1, 0.2, 0.3, 1e-12, 0.5])
+    with pytest.raises(ZeroDivisor) as err:
+        family.chart_at(pm.atlas, point)
+    assert err.value.value == 1e-12
+
+
 def test_rescale_unit_representative_on_own_chart(pm):
     family = rescale(pm.atlas, pm.section("s0"))
     chart = family.charts["V0"]

@@ -473,6 +473,52 @@ def test_a_malformed_field_is_a_config_error_at_its_path(tmp_path, where, value,
     assert read_json(out)["failure"]["subject"].startswith(f"config error at {path}: ")
 
 
+@pytest.mark.parametrize("where, value, path", [
+    ("sample_box", {"K": [0, 1]}, "$.charts[0].sample_box"),
+    ("sample_box", {"J1": [1, -1]}, "$.charts[0].sample_box.J1"),
+    ("domain", {"J1": ["nan", 1.0e6]}, "$.charts[0].domain.J1"),
+    ("domain", {"J1": [1.0e6, -1.0e6]}, "$.charts[0].domain.J1"),
+], ids=["unknown-box-key", "reversed-box", "nan-domain", "reversed-domain"])
+def test_a_bad_box_or_domain_is_a_config_error_at_its_path(tmp_path, where, value, path):
+    from helpers import CHART_SWITCH_CONFIG
+    config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
+    config["charts"][0][where] = value
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
+    assert read_json(out)["failure"]["subject"].startswith(f"config error at {path}: ")
+
+
+def test_a_sample_box_leaves_the_other_coordinates_at_the_chart_default(tmp_path):
+    """A coordinate the sample box omits samples the box the same chart
+    samples without one: here J1 in (0.05, 2), not (-2, 2)."""
+    from helpers import CHART_SWITCH_CONFIG
+    from contactkit.models import from_config
+    config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
+    config["charts"][0]["domain"] = {"J1": [0.05, 5]}
+    without = from_config(config).atlas.chart("V0").effective_sample_box()
+    config["charts"][0]["sample_box"] = {"phi0": [0, 1]}
+    chart = from_config(config).atlas.chart("V0")
+    assert chart.sample_box == ((0.0, 1.0), without[1], without[2]) == (
+        (0.0, 1.0), (0.0, 2.0 * np.pi), (0.05, 2.0))
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 0
+
+
+def test_a_grid_reaching_an_open_domain_bound_stays_inside(tmp_path):
+    """The sample box of V0 is its domain J1 in (-1.5, 1.5): the grid's end
+    points move one ulp inside, every other point stays."""
+    from helpers import CHART_SWITCH_CONFIG
+    config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
+    config["charts"][0]["domain"] = {"J1": [-1.5, 1.5]}
+    out = tmp_path / "sweep.csv"
+    assert main(["classify", "--config", _write_config(tmp_path, config), "--chart", "V0",
+                 "--grid", "3", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    j1 = sorted({float(row["J1"]) for row in rows})
+    assert len(rows) == 27
+    assert j1 == [np.nextafter(-1.5, 0.0), 0.0, np.nextafter(1.5, 0.0)]
+
+
 @pytest.mark.parametrize("command", ["check", "freq", "actions"])
 def test_a_json_only_command_refuses_csv(command, capsys, tmp_path):
     out = tmp_path / "report.csv"

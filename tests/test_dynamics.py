@@ -26,6 +26,15 @@ def pm2():
     return primer2(2, OMEGA, "sin(phi2)")
 
 
+def test_chart_health_is_the_denominator_on_the_chart(pm):
+    rng = np.random.default_rng(73)
+    for chart in pm.atlas.charts.values():
+        for _ in range(20):
+            x = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 3), rng.uniform(-2.0, 2.0, 2)])
+            want = abs(chart.denominator.eval(chart.bindings(x)))
+            assert dynamics._chart_health(chart, x) == want
+
+
 def test_linear_winding(pm):
     chart = pm.atlas.chart("V0")
     x0 = chart.point(np.array([0.2, 0.4, 1.0, 0.7, -1.3]))

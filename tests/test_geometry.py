@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from contactkit import expr
-from contactkit.expr import UnboundName, parse
+from contactkit.expr import DomainError, UnboundName, parse
 from contactkit.geometry import (Chart, ChartField, NotInZ0, OutOfDomain, alpha_at,
                                  contact_check, dalpha_at, decompose_vector,
                                  frame_at, reeb_at, sharp)
@@ -294,6 +294,59 @@ def test_chart_field_jet_is_the_value_and_the_gradient():
         assert np.array_equal(gradient, reference_gradient(e, chart.bindings(x), chart.names))
     value, gradient = ChartField(chart, "2.5").jet(np.zeros(5))
     assert value == 2.5 and np.array_equal(gradient, np.zeros(5))
+
+
+def _first_failure(call, rows):
+    """The error ``call`` raises on the first row of ``rows`` it fails on."""
+    for row in rows:
+        try:
+            call(row)
+        except DomainError as exc:
+            return str(exc)
+    raise AssertionError("no row fails")
+
+
+def test_chart_field_rows_are_its_point_calls_on_a_projective_chart(primer_model):
+    """On V2 (``phi0, phi1, phi2, J0, J1``) formulas that read the names in
+    another order: every stacked row equals the point call, the jet and the
+    reference bit for bit, and a stack that trips a guard raises what the
+    point call raises on its first failing row."""
+    chart = primer_model.atlas.chart("V2")
+    rng = np.random.default_rng(67)
+    angles = rng.uniform(0.0, 2.0 * np.pi, (60, 3))
+    for text in ("J1 * sin(phi2) + J0^2 * sqrt(phi0 * J1)", "log(J1) * cos(phi1) + sqrt(J0)",
+                 "phi1 / (J1 - J0) + exp(phi0 * J1)"):
+        field = ChartField(chart, text)
+        e = field.expr
+        assert e.arguments != tuple(name for name in chart.names if name in e.names)
+        assert field.kernel.names == chart.names
+        x = np.column_stack([angles, rng.uniform(0.1, 2.0, (60, 2))])
+        values = field.value_stack(x)
+        jet_values, grads = field.jet_stack(x)
+        for row, value, jet_value, grad in zip(x, values, jet_values, grads):
+            point_value, point_grad = field.jet(row)
+            reference = reference_eval(e, chart.bindings(row))
+            assert value == jet_value == point_value == field(row) == reference
+            assert np.array_equal(grad, point_grad)
+            assert np.array_equal(grad, reference_gradient(e, chart.bindings(row), chart.names))
+        x[:, 3:] = rng.uniform(-2.0, 2.0, (60, 2))
+        x[::7, 4] = x[::7, 3]  # J1 = J0: the quotient divides by zero
+        x[5, 3] = 0.0  # the second formula's sqrt(J0) has no derivative there
+        for scalar, stacked in ((field, field.value_stack), (field.jet, field.jet_stack)):
+            want = _first_failure(scalar, x)
+            with pytest.raises(DomainError) as got:
+                stacked(x)
+            assert str(got.value) == want
+        by_bindings = _first_failure(lambda row: e.eval(chart.bindings(row)), x)
+        assert _first_failure(field, x) == by_bindings
+
+
+def test_equal_formulas_on_one_chart_share_one_kernel(primer_model):
+    chart = primer_model.atlas.chart("V1")
+    a = ChartField(chart, "J0 * sin(phi2) + J2")
+    b = ChartField(chart, parse("J0 * sin(phi2) + J2"))
+    assert a.expr is not b.expr
+    assert a.kernel is b.kernel
 
 
 def test_gradient_matches_finite_differences():
