@@ -36,9 +36,10 @@ a numpy ufunc may round differently), each guard one vectorized test, and
 the results bit-identical to the scalar functions row by row.  A stack
 that fails a guard raises what the scalar function raises on the first
 failing row.  Parsed trees are immutable and evaluation is pure, so
-expressions can be shared freely between threads.  Printing, comparing,
-hashing and ``repr`` walk a tree with an explicit stack, so a formula of
-any depth prints as readily as it evaluates.
+expressions can be shared freely between threads.  A formula's ``repr``,
+which names every node's fields and the source text, is its identity for
+equality and hashing; it and the printer walk a tree with an explicit
+stack, so a formula of any depth prints as readily as it evaluates.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class DomainError(ContactKitError):
 # ---------------------------------------------------------------------------
 # AST
 
-# nodes compare, hash and print through the iterative methods of Node
+# a node's repr, built without recursion, is its identity: equality and hashing read it
 _node = dataclass(frozen=True, eq=False, repr=False)
 
 
@@ -105,22 +106,10 @@ class Node:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or _own(a) != _own(b):
-                return False
-            pairs.extend(zip(_children(a), _children(b)))
-        return True
+        return repr(self) == repr(other)
 
     def __hash__(self) -> int:
-        hashes: list[int] = []
-        for node, kids, _ in _postorder(self):
-            hashes.append(hash((node.__class__.__name__, _own(node),
-                                tuple(hashes[k] for k in kids))))
-        return hashes[-1]
+        return hash(repr(self))
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -172,12 +161,6 @@ class Power(Node):
 class Call(Node):
     func: str
     argument: Node
-
-
-def _own(node: Node) -> tuple:
-    """The fields of ``node`` that are not child nodes, span first."""
-    return tuple(value for value in (getattr(node, f.name) for f in fields(node))
-                 if not isinstance(value, Node))
 
 
 # function name -> (value, derivative factor) as source templates over the
@@ -729,7 +712,8 @@ class Kernel:
 
 @dataclass(frozen=True)
 class Expression:
-    """Immutable parsed formula.  Build with :func:`parse` or the node helpers."""
+    """Immutable parsed formula, equal to another exactly when their cached
+    reprs are.  Build with :func:`parse` or the node helpers."""
 
     root: Node
     source: str | None = None
@@ -784,29 +768,29 @@ class Expression:
         return to_text(self)
 
     def __repr__(self) -> str:
-        return f"Expression(root={self.root!r}, source={self.source!r})"
+        return self._repr
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.source == other.source and self.root == other.root
+        return self._repr == other._repr
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._repr)  # a str caches its own hash
 
     @cached_property
-    def _hash(self) -> int:
-        # hashing walks the tree, and kernels are looked up by formula
-        return hash((self.root, self.source))
+    def _repr(self) -> str:
+        return f"Expression(root={self.root!r}, source={self.source!r})"
 
 
 @lru_cache(maxsize=512)
 def compiled(exprs: tuple[Expression, ...], names: tuple[str, ...]) -> Kernel:
     """The :class:`Kernel` of ``exprs`` over ``names``, one per distinct
-    pair: equal formulas (same tree, same source text, which domain errors
-    quote) over equal names share one kernel and its compiled functions,
-    however many charts, overlaps or models hold them.  A formula on a
-    chart compiles over the chart's names, a free one over its arguments."""
+    pair: equal formulas (equal reprs: the same tree and the same source
+    text, which domain errors quote) over equal names share one kernel and
+    its compiled functions, however many charts, overlaps or models hold
+    them.  A formula on a chart compiles over the chart's names, a free one
+    over its arguments."""
     return Kernel(exprs, names)
 
 
@@ -828,7 +812,7 @@ def _pieces(node: Node, context: int) -> list:
         if math.isinf(node.value):
             return ["1e999" if node.value > 0 else "(-1e999)"]
         text = repr(node.value)
-        return [f"({text})" if node.value < 0 and context >= 3 else text]
+        return [f"({text})" if text.startswith("-") and context >= 3 else text]
     if kind is Coordinate:
         return [node.name]
     if kind is Negate:

@@ -95,9 +95,11 @@ class Chart:
     ``bounds`` are open intervals per coordinate (ignored on periodic
     axes, which always cover a full period).  ``sample_box`` bounds the
     region used by sampled validation; it defaults to the domain clipped
-    to a unit-scale box.  ``denominator`` is an optional scalar expression
-    whose decay signals that the chart is about to become invalid; the
-    flow integrator uses it to decide when to change charts.
+    to ``(-2, 2)``, or, where the domain misses that interval, to the
+    domain with its open side, if any, cut 4 from the finite end.
+    ``denominator`` is an optional scalar expression whose decay signals
+    that the chart is about to become invalid; the flow integrator uses it
+    to decide when to change charts.
     """
 
     id: str
@@ -197,7 +199,10 @@ class Chart:
             lo, hi = self.bounds[i]
             clo = max(lo, -_DEFAULT_SAMPLE_HALF_WIDTH)
             chi = min(hi, _DEFAULT_SAMPLE_HALF_WIDTH)
-            box.append((clo, chi) if clo < chi else (lo, hi))
+            if clo >= chi:  # the domain misses (-2, 2): 4 wide from its finite end
+                clo = hi - 2.0 * _DEFAULT_SAMPLE_HALF_WIDTH if lo == -np.inf else lo
+                chi = lo + 2.0 * _DEFAULT_SAMPLE_HALF_WIDTH if hi == np.inf else hi
+            box.append((clo, chi))
         return tuple(box)
 
     def shortest_arc_delta(self, a, b) -> np.ndarray:

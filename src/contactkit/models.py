@@ -294,11 +294,9 @@ def _projective_torus_atlas(n: int, samples_per_overlap: int) -> Atlas:
         alpha.extend([expr.literal(0.0)] * n)
         periodic = (True,) * (n + 1) + (False,) * n
         bounds = tuple([(0.0, TWO_PI)] * (n + 1) + [(-DEFAULT_J_MAX, DEFAULT_J_MAX)] * n)
-        sample_box = tuple([(0.0, TWO_PI)] * (n + 1) + [(-2.0, 2.0)] * n)
         denom_text = "1/sqrt(1 + " + " + ".join(f"{r}^2" for r in ratio_names) + ")"
         charts.append(Chart(id=f"V{i}", names=names, alpha=tuple(alpha),
-                            periodic=periodic, bounds=bounds,
-                            sample_box=sample_box, denominator=parse(denom_text)))
+                            periodic=periodic, bounds=bounds, denominator=parse(denom_text)))
 
     overlaps = []
     unit = _low_discrepancy(dim, samples_per_overlap)

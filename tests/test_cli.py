@@ -504,6 +504,27 @@ def test_a_sample_box_leaves_the_other_coordinates_at_the_chart_default(tmp_path
     assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 0
 
 
+def test_a_one_sided_domain_samples_a_finite_box(tmp_path):
+    """J1 < -5 on V0: the default box of J1 is (-9, -5), so the overlap
+    samples are found and every command runs clean of numpy warnings."""
+    from helpers import CHART_SWITCH_CONFIG
+    from contactkit.models import from_config
+    config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
+    config["charts"][0]["domain"] = {"J1": [None, -5]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert from_config(config).atlas.chart("V0").effective_sample_box()[2] == (-9.0, -5.0)
+        path = _write_config(tmp_path, config)
+        out = tmp_path / "check.json"
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+        assert read_json(out)["ok"] is True
+        assert main(["classify", "--config", path, "--chart", "V0", "--samples", "50",
+                     "--seed", "1", "--out", str(tmp_path / "classify.csv")]) == 0
+        assert main(["flow", "--config", path, "--chart", "V0", "--x0", "0.3,1.5,-6",
+                     "--t-final", "5", "--samples", "11",
+                     "--out", str(tmp_path / "flow.csv")]) == 0
+
+
 def test_a_grid_reaching_an_open_domain_bound_stays_inside(tmp_path):
     """The sample box of V0 is its domain J1 in (-1.5, 1.5): the grid's end
     points move one ulp inside, every other point stays."""

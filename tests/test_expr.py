@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactkit import expr
 from contactkit.expr import (DomainError, Literal, ParseError, UnboundName,
@@ -184,12 +184,13 @@ def test_infinite_literals_print_as_overflowing_numbers():
 
 
 def _outcome(e, bindings):
-    """Value of ``e`` (NaN compares equal to NaN) or the type it raises."""
+    """Value of ``e`` with its sign (NaN compares equal to NaN) or the type
+    it raises."""
     try:
         value = e.eval(bindings)
     except Exception as exc:  # noqa: BLE001 - the type is the outcome
         return type(exc)
-    return "nan" if math.isnan(value) else value
+    return "nan" if math.isnan(value) else (value, math.copysign(1.0, value))
 
 
 _LEAVES = st.one_of(
@@ -211,6 +212,7 @@ def _branches(children):
 @settings(max_examples=300, deadline=None)
 @given(e=st.recursive(_LEAVES, _branches, max_leaves=12),
        a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+@example(e=expr.power(expr.literal(-0.0), 2), a=0.0, b=0.0)  # prints as (-0.0)^2
 def test_print_round_trip_with_infinite_literals(e, a, b):
     again = parse(to_text(e))
     assert _outcome(again, {"a": a, "b": b}) == _outcome(e, {"a": a, "b": b})
@@ -411,6 +413,11 @@ def test_node_dunders_match_the_dataclass_ones():
     assert e != parse("-(x + 2.5) * sin(y)^3")
     assert e.root.left != e.root.right and e.root != "text"
     assert len({e, parse("-(x + 2.5) * sin(y)^2"), parse("x")}) == 2
+    # a zero literal keeps its sign: 0.0 and -0.0 print apart, so they differ
+    zero, minus_zero = expr.literal(0.0), expr.literal(-0.0)
+    assert repr(minus_zero.root) == _dataclass_repr(minus_zero.root)
+    assert zero != minus_zero and zero.root != minus_zero.root
+    assert len({zero, minus_zero}) == 2 and len({zero.root, minus_zero.root}) == 2
 
 
 _STACK_SOURCES = [
@@ -504,6 +511,31 @@ def test_compiled_gives_equal_formulas_one_kernel():
         with pytest.raises(DomainError) as err:
             e.eval({"x": 0.0, "y": 1.0})
         assert str(err.value).endswith(quoted)
+    # x + 0.0 and x + (-0.0) differ at x = -0.0, whichever compiles first
+    for name, first in (("zero_first", 0.0), ("minus_zero_first", -0.0)):
+        zeros = (first, -first)
+        forms = [expr.add(expr.coordinate(name), expr.literal(z)) for z in zeros]
+        assert forms[0] != forms[1] and forms[0].kernel is not forms[1].kernel
+        for z, form in zip(zeros, forms):
+            value = form.eval({name: -0.0})
+            assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, z)
+
+
+def test_equal_formulas_are_those_with_equal_reprs():
+    """Random formulas, each built twice from its seed: two are equal
+    exactly when their reprs are, and equal ones share a hash and a kernel."""
+    def build(seed):
+        return random_expression(np.random.default_rng(seed), ["x", "y"], depth=3)
+
+    formulas = [build(seed) for seed in range(12) for _ in range(2)]
+    formulas += [expr.Expression(e.root, to_text(e)) for e in formulas[:6]]
+    formulas += [expr.add(formulas[0], expr.literal(z)) for z in (0.0, -0.0, 0.0)]
+    for a in formulas:
+        for b in formulas:
+            assert (a == b) == (repr(a) == repr(b)) == (a.root == b.root and a.source == b.source)
+            if a == b:
+                assert hash(a) == hash(b) and hash(a.root) == hash(b.root)
+                assert expr.compiled((a,), ("x", "y")) is expr.compiled((b,), ("x", "y"))
 
 
 @pytest.mark.parametrize("name", ["__import__('os')", "a b", "x0", "_E", "v1"])

@@ -271,6 +271,24 @@ def test_point_outside_domain():
         alpha_at(chart, np.array([0.0, 0.0, 2.0]))
 
 
+def test_default_sample_box_is_finite_on_a_one_sided_domain(primer_model):
+    """An axis whose domain misses (-2, 2) samples a box 4 wide from the
+    domain's finite end; every finite default stays the domain clipped to
+    (-2, 2), or the domain itself where it misses that interval.  The
+    projective charts sample the default box."""
+    inf = np.inf
+    bounds = ((-inf, -5.0), (3.0, inf), (-inf, -2.0), (-1e6, 1e6), (0.5, inf),
+              (3.0, 100.0), (-inf, inf))
+    chart = Chart("one-sided", tuple(f"u{i}" for i in range(7)),
+                  (expr.literal(0.0),) * 7, (False,) * 7, bounds)
+    assert chart.effective_sample_box() == (
+        (-9.0, -5.0), (3.0, 7.0), (-6.0, -2.0), (-2.0, 2.0), (0.5, 2.0),
+        (3.0, 100.0), (-2.0, 2.0))
+    for cid in primer_model.atlas.chart_ids:
+        box = primer_model.atlas.chart(cid).effective_sample_box()
+        assert box == ((0.0, 2 * np.pi),) * 3 + ((-2.0, 2.0),) * 2
+
+
 def test_chart_field_raises_what_eval_raises_for_a_name_the_chart_lacks():
     chart = canonical_chart(1)
     e = parse("q1 * zz + p1 * aa")
