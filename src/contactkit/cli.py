@@ -133,19 +133,26 @@ def _write_json(path: str | None, payload: dict) -> None:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_table(cfg: argparse.Namespace, header: list[str], rows: Iterable[list],
+def _write_table(cfg: argparse.Namespace, header: list[str], rows: Iterable[tuple],
                  report: dict, suffix: str) -> None:
     """The rows as CSV, strings as they are and numbers at full precision,
     with ``report`` in the sidecar ``<out stem><suffix>`` (none on stdout);
-    or with ``--format json`` one report holding the rows."""
+    or with ``--format json`` one report holding the rows.  Each row is a
+    tuple with the first row's column types: one ``%`` format built from
+    the first row (``%s`` for a string, ``%.17g`` for a number, which is
+    ``f"{float(cell):.17g}"``) writes every row."""
     if cfg.format == "json":
         _write_json(cfg.out, {**report, "header": header, "rows": list(rows)})
         return
     with _output(cfg.out) as out:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(cell if isinstance(cell, str) else f"{float(cell):.17g}"
-                               for cell in row) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            line = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                            for cell in first) + "\n"
+            out.write(line % first)
+            out.writelines(map(line.__mod__, rows))
     if cfg.out is not None:
         out = Path(cfg.out)
         _write_json(str(out.with_name(out.stem + suffix)), report)
@@ -195,7 +202,7 @@ def cmd_flow(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg)
     traj, x0 = _run_flow(cfg, model)
     header = ["t", "chart", *model.atlas.chart(x0.chart).names]
-    rows = [[t, p.chart, *p.coords] for t, p in zip(traj.times, traj.points)]
+    rows = [(t, p.chart, *p.coords) for t, p in zip(traj.times, traj.points)]
     events = {
         "config": vars(cfg),
         "chart_switches": [{"time": s.time, "from": s.src, "to": s.dst}
@@ -247,7 +254,7 @@ def cmd_classify(cfg: argparse.Namespace) -> int:
     header = list(chart.names) + ["stratum", "dimE", "dimF"]
     labels = [s.value for s in Stratum]
     # boxed a block at a time: a sweep's rows are never all in memory
-    rows = ([*row, labels[code], e, f] for start in range(0, len(coords), CSV_BLOCK)
+    rows = ((*row, labels[code], e, f) for start in range(0, len(coords), CSV_BLOCK)
             for row, code, e, f in zip(*(a[start:start + CSV_BLOCK].tolist() for a in (
                 coords, strata.stratum, strata.dimE, strata.dimF))))
     counts = {s.value: n for s, n in strata.counts().items()}

@@ -33,7 +33,7 @@ what its first failing row raises on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Union
 
@@ -442,12 +442,21 @@ def decompose_vector(chart: Chart, x, v) -> tuple[float, TangentVector]:
 @dataclass(frozen=True)
 class ContactCheck:
     """Nondegeneracy at one point; for a stack, ``ok``, ``det_proxy`` and
-    ``rank`` hold one entry per row."""
+    ``rank`` hold one entry per row.  ``rank`` is computed from the checked
+    ``B``, block by block, the first time it is read."""
 
     ok: bool
     det_proxy: float
-    rank: int
     expected_rank: int
+    _blocks: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def rank(self):
+        """``numerical_rank(B) - 2`` per row, 0 where ``alpha`` vanishes."""
+        ranks = np.concatenate([np.where(b[:, -1, :-1].any(axis=1),
+                                         numkernel.numerical_rank(b) - 2, 0)
+                                for b in self._blocks])
+        return int(ranks[0]) if np.ndim(self.ok) == 0 else ranks
 
 
 def contact_check(chart: Chart, x) -> ContactCheck:
@@ -455,16 +464,19 @@ def contact_check(chart: Chart, x) -> ContactCheck:
     per row of an ``(N, dim)`` stack: ``ok`` where ``B`` passes the frame gate,
     exactly where :func:`frame_at` returns; ``det_proxy`` is ``|det B|``;
     ``rank``, that of ``d alpha`` on ker alpha, is ``numerical_rank(B) - 2``
-    (0 where ``alpha`` vanishes)."""
+    (0 where ``alpha`` vanishes), computed only when read."""
 
     def run(x: np.ndarray) -> tuple[np.ndarray, ...]:
         a, jac = chart.alpha_kernel.jet_stack(_check_domain(chart, x))
         bordered, _, cond = _bordered(a, jac.transpose(0, 2, 1) - jac)
-        rank = np.where(a.any(axis=1), numkernel.numerical_rank(bordered) - 2, 0)
-        return np.array(cond) <= _COND_LIMIT, abs(np.linalg.det(bordered)), rank
+        # a determinant that underflows reads 0, and the gate fails its row
+        with np.errstate(divide="ignore", under="ignore"):
+            det = abs(np.linalg.det(bordered))
+        return np.array(cond) <= _COND_LIMIT, det, bordered
 
     stack = np.asarray(x, dtype=float).reshape(-1, chart.dim)
-    ok, det, rank = map(np.concatenate, zip(*_by_blocks(run, stack)))
+    ok, det, blocks = zip(*_by_blocks(run, stack))
+    ok, det = np.concatenate(ok), np.concatenate(det)
     if np.ndim(x) == 1:
-        return ContactCheck(bool(ok[0]), float(det[0]), int(rank[0]), chart.dim - 1)
-    return ContactCheck(ok, det, rank, chart.dim - 1)
+        return ContactCheck(bool(ok[0]), float(det[0]), chart.dim - 1, blocks)
+    return ContactCheck(ok, det, chart.dim - 1, blocks)

@@ -79,7 +79,10 @@ def bracket(chart: Chart, f: FieldLike, g: FieldLike, x, frames: FrameStack | No
     fr = frame_at(chart, x)
     fv, df = _jet(as_field(chart, f), fr.x)
     gv, dg = _jet(as_field(chart, g), fr.x)
-    return float(dg @ fr.field(fv, df)) - gv * float(df @ fr.reeb)
+    # as on a stack: a huge or infinite section gives a non-finite bracket,
+    # not a numpy warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(dg @ fr.field(fv, df)) - gv * float(df @ fr.reeb)
 
 
 def bracket_field(chart: Chart, f: FieldLike, g: FieldLike):

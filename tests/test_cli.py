@@ -444,6 +444,20 @@ def test_classify_csv_streams_the_rows_of_the_sweep(tmp_path, monkeypatch):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def test_a_table_row_is_the_per_cell_format(tmp_path):
+    rows = [("a", -0.0, 5e-324, 1e308, np.inf, np.nan, 7, np.float64(0.1)),
+            ("bc", 0.0, -5e-324, -1e308, -np.inf, 2.5, 2 ** 60 + 1, np.float64(-1 / 3)),
+            ("", 1e-300, 1.0, 123456789.0, 1e22, -0.5, -3, np.float64(np.pi))]
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    out = tmp_path / "table.csv"
+    cfg = cli.build_parser().parse_args(["flow", "--out", str(out)])
+    cli._write_table(cfg, header, iter(rows), {"rows": len(rows)}, ".side.json")
+    want = [",".join(header)] + [
+        ",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) for row in rows]
+    assert out.read_text() == "\n".join(want) + "\n"
+    assert read_json(tmp_path / "table.side.json") == {"rows": 3}
+
+
 def test_overlap_samples_need_one_value_per_coordinate(tmp_path):
     from helpers import CHART_SWITCH_CONFIG
     config = json.loads(json.dumps(CHART_SWITCH_CONFIG))
@@ -486,6 +500,19 @@ def test_a_bad_box_or_domain_is_a_config_error_at_its_path(tmp_path, where, valu
     out = tmp_path / "check.json"
     assert main(["check", "--config", _write_config(tmp_path, config), "--out", str(out)]) == 2
     assert read_json(out)["failure"]["subject"].startswith(f"config error at {path}: ")
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_an_unparsable_document_is_a_config_error_at_its_path(tmp_path, monkeypatch, libyaml):
+    import yaml
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path, out = tmp_path / "model.yaml", tmp_path / "check.json"
+    path.write_text("charts: [")
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 2
+    report = read_json(out)
+    assert not report["ok"] and report["failure"]["check"] == "load"
+    assert report["failure"]["subject"].startswith(f"config error at {path}: invalid document")
 
 
 def test_a_sample_box_leaves_the_other_coordinates_at_the_chart_default(tmp_path):

@@ -3,6 +3,7 @@ import copy
 import random
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -83,9 +84,55 @@ def test_primer_sigma_detection():
             is Stratum.REGULAR_TRANSVERSE
 
 
+def _first_profile_failure(profile):
+    """What the scalar loop over primer's 1024-angle grid raises first."""
+    f = parse(profile)
+    for angle in np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False):
+        try:
+            value = f.eval({"phi2": angle})
+        except ContactKitError as exc:
+            return exc
+        if value <= 0.0:
+            return PositivityViolation(angle, value)
+    return None
+
+
 def test_primer_rejects_nonpositive_profile():
     with pytest.raises(PositivityViolation):
         primer(2, OMEGA, "sin(phi2)", k=0)
+    # a zero at the first angle, a sign change inside, and domain errors at
+    # the first angle and inside: the first failing grid angle raises
+    for profile, kind in [("sin(phi2)", PositivityViolation),
+                          ("cos(phi2) + 0.5", PositivityViolation),
+                          ("log(sin(phi2)) + 3", expr.DomainError),
+                          ("sqrt(cos(phi2)) + 1", expr.DomainError)]:
+        want = _first_profile_failure(profile)
+        assert type(want) is kind
+        with pytest.raises(kind) as err:
+            primer(2, OMEGA, profile, k=0)
+        assert str(err.value) == str(want), profile
+        if kind is PositivityViolation:
+            assert (err.value.where, err.value.value) == (want.where, want.value), profile
+
+
+def test_config_loads_the_same_with_either_yaml_loader(monkeypatch):
+    import yaml
+
+    def records(path):
+        load = mock.Mock(wraps=yaml.load)
+        with mock.patch.object(yaml, "load", load):
+            model = from_config(path)
+        return load.call_args.kwargs["Loader"], [
+            (r.check, r.subject, r.ok, r.residual, None if r.where is None else r.where.tolist())
+            for r in model.records]
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "chart_switch.yaml"
+    loader, fast = records(path)
+    assert loader is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    loader, pure = records(path)
+    assert loader is yaml.SafeLoader
+    assert fast == pure
 
 
 def test_primer_rejects_alien_profile_names():
