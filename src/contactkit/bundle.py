@@ -16,13 +16,16 @@ zero locus, or unclassified when the momentum differential drops rank.
 ``classify`` and ``momentum_rank`` take one point or a stack of points of
 one chart (a :class:`~contactkit.geometry.Point` whose coordinates are an
 ``(N, dim)`` array).  They work on blocks of rows: the section family is
-one kernel on the chart, whose stacked values and then jets feed stacked
-frames, fields, momentum ratios and ranks, so a sweep's intermediates stay
-bounded.  A single point is a stack of one.  A block that raises is
-classified again one row at a time, so the first failing row raises
-exactly the error a per-point call raises on it.  ``validate_atlas`` and
-``validate_section`` take each overlap's samples as one stack the same
-way; an overlap's map is one kernel, whose jet is the transition Jacobian.
+one kernel on the chart, whose stacked jet feeds stacked frames, fields,
+momentum ratios and ranks, so a sweep's intermediates stay bounded.
+``classify`` reads values and gradients off one jet, so in a row a failing
+derivative comes before a later section's value; ``momentum_rank`` takes
+the values first, to find the zero locus before any derivative.  A single
+point is a stack of one.  A block that raises is classified again one row
+at a time, so the first failing row raises exactly the error a per-point
+call raises on it.  ``validate_atlas`` and ``validate_section`` take each
+overlap's samples as one stack the same way; an overlap's map is one
+kernel, whose jet is the transition Jacobian.
 """
 
 from __future__ import annotations
@@ -510,9 +513,7 @@ def classify(atlas: Atlas, sections: Sequence[Section], r: int, point: Point,
 
     def run(block: np.ndarray) -> tuple[np.ndarray, ...]:
         frames = frame_stack(chart, block)
-        family = _family(chart, sections)
-        values = family.value_stack(block)
-        grads = family.jet_stack(block)[1]
+        values, grads = _family(chart, sections).jet_stack(block)
         vectors = frames.fields(values, grads)
         dim_e = numkernel.numerical_rank(vectors, rank_tol)
         dim_f = numkernel.numerical_rank(vectors[:, : r + 1], rank_tol)

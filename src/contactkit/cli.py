@@ -42,6 +42,38 @@ def _comma_floats(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options every command shares, declared once and inherited by each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", choices=["canonical", "primer", "primer2"],
+                        help="built-in model name")
+    common.add_argument("--config", help="path to a model config file")
+    common.add_argument("--n", type=int, default=2, help="built-in model size")
+    common.add_argument("--omega", type=_comma_floats, default=(),
+                        help="comma list of frequencies for the built-ins")
+    common.add_argument("--f", default=None, metavar="F_EXPR",
+                        help="profile expression for primer/primer2; for the "
+                             "canonical model this is the Hamiltonian")
+    common.add_argument("--k", type=int, default=0,
+                        help="index of the section multiplied by the profile")
+    common.add_argument("--reduced", action="store_true",
+                        help="use the reduced single-chart view (primer2)")
+    common.add_argument("--chart", default=None, help="chart id of the start/sweep")
+    common.add_argument("--x0", type=_comma_floats, default=None,
+                        help="comma list of start coordinates")
+    common.add_argument("--t-final", type=float, default=100.0)
+    common.add_argument("--rtol", type=float, default=1e-10)
+    common.add_argument("--atol", type=float, default=1e-10)
+    common.add_argument("--strata-tol", type=float, default=1e-8)
+    common.add_argument("--rank-tol", type=float, default=1e-9)
+    common.add_argument("--switch-tol", type=float, default=1e-3)
+    common.add_argument("--samples", type=int, default=1001,
+                        help="trajectory samples, or sweep size for classify")
+    common.add_argument("--grid", type=int, default=0,
+                        help="classify on a per-axis grid instead of random points")
+    common.add_argument("--subdivisions", type=int, default=8,
+                        help="quadrature panels for actions")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=None, help="output path (default stdout)")
     parser = argparse.ArgumentParser(
         prog="contactkit",
         description="Contact-system toolkit: check models, integrate flows, "
@@ -53,37 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("classify", ["csv", "json"], "stratify sampled points of a chart"),
             ("freq", ["json"], "integrate a trajectory and fit winding rates"),
             ("actions", ["json"], "loop integrals around the periodic coordinates")]:
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--model", choices=["canonical", "primer", "primer2"],
-                         help="built-in model name")
-        cmd.add_argument("--config", help="path to a model config file")
-        cmd.add_argument("--n", type=int, default=2, help="built-in model size")
-        cmd.add_argument("--omega", type=_comma_floats, default=(),
-                         help="comma list of frequencies for the built-ins")
-        cmd.add_argument("--f", default=None, metavar="F_EXPR",
-                         help="profile expression for primer/primer2; for the "
-                              "canonical model this is the Hamiltonian")
-        cmd.add_argument("--k", type=int, default=0,
-                         help="index of the section multiplied by the profile")
-        cmd.add_argument("--reduced", action="store_true",
-                         help="use the reduced single-chart view (primer2)")
-        cmd.add_argument("--chart", default=None, help="chart id of the start/sweep")
-        cmd.add_argument("--x0", type=_comma_floats, default=None,
-                         help="comma list of start coordinates")
-        cmd.add_argument("--t-final", type=float, default=100.0)
-        cmd.add_argument("--rtol", type=float, default=1e-10)
-        cmd.add_argument("--atol", type=float, default=1e-10)
-        cmd.add_argument("--strata-tol", type=float, default=1e-8)
-        cmd.add_argument("--rank-tol", type=float, default=1e-9)
-        cmd.add_argument("--switch-tol", type=float, default=1e-3)
-        cmd.add_argument("--samples", type=int, default=1001,
-                         help="trajectory samples, or sweep size for classify")
-        cmd.add_argument("--grid", type=int, default=0,
-                         help="classify on a per-axis grid instead of random points")
-        cmd.add_argument("--subdivisions", type=int, default=8,
-                         help="quadrature panels for actions")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--out", default=None, help="output path (default stdout)")
+        cmd = sub.add_parser(name, help=helptext, parents=[common])
         cmd.add_argument("--format", choices=formats, default=formats[0])
     return parser
 

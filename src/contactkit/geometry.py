@@ -414,7 +414,9 @@ def frame_stack(chart: Chart, x) -> FrameStack:
     first row that fails."""
     x = _check_domain(chart, x)
     alpha, jac = chart.alpha_kernel.jet_stack(x)
-    inv = _bordered_inverse(alpha, jac.transpose(0, 2, 1) - jac)
+    # a B that overflows fails the gate, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _bordered_inverse(alpha, jac.transpose(0, 2, 1) - jac)
     d = chart.dim
     return FrameStack(inv[:, :d, :d], inv[:, :d, d])
 
@@ -443,7 +445,8 @@ def decompose_vector(chart: Chart, x, v) -> tuple[float, TangentVector]:
 class ContactCheck:
     """Nondegeneracy at one point; for a stack, ``ok``, ``det_proxy`` and
     ``rank`` hold one entry per row.  ``rank`` is computed from the checked
-    ``B``, block by block, the first time it is read."""
+    ``B``, block by block, the first time it is read; it is 0 on a row whose
+    ``B`` is not finite."""
 
     ok: bool
     det_proxy: float
@@ -452,10 +455,11 @@ class ContactCheck:
 
     @cached_property
     def rank(self):
-        """``numerical_rank(B) - 2`` per row, 0 where ``alpha`` vanishes."""
-        ranks = np.concatenate([np.where(b[:, -1, :-1].any(axis=1),
-                                         numkernel.numerical_rank(b) - 2, 0)
-                                for b in self._blocks])
+        """``numerical_rank(B) - 2`` per row, 0 where ``alpha`` vanishes or
+        ``B`` is not finite."""
+        ranks = np.concatenate([
+            np.where(b[:, -1, :-1].any(axis=1) & np.isfinite(b).all(axis=(1, 2)),
+                     numkernel.numerical_rank(b) - 2, 0) for b in self._blocks])
         return int(ranks[0]) if np.ndim(self.ok) == 0 else ranks
 
 
@@ -464,13 +468,16 @@ def contact_check(chart: Chart, x) -> ContactCheck:
     per row of an ``(N, dim)`` stack: ``ok`` where ``B`` passes the frame gate,
     exactly where :func:`frame_at` returns; ``det_proxy`` is ``|det B|``;
     ``rank``, that of ``d alpha`` on ker alpha, is ``numerical_rank(B) - 2``
-    (0 where ``alpha`` vanishes), computed only when read."""
+    (0 where ``alpha`` vanishes or ``B`` is not finite, as when ``Omega``
+    overflows), computed only when read.  Such a row fails the gate without
+    a numpy warning."""
 
     def run(x: np.ndarray) -> tuple[np.ndarray, ...]:
         a, jac = chart.alpha_kernel.jet_stack(_check_domain(chart, x))
-        bordered, _, cond = _bordered(a, jac.transpose(0, 2, 1) - jac)
-        # a determinant that underflows reads 0, and the gate fails its row
-        with np.errstate(divide="ignore", under="ignore"):
+        # an Omega, norm or determinant that overflows, or a determinant that
+        # underflows to 0, fails its row's gate: numpy need not warn
+        with np.errstate(all="ignore"):
+            bordered, _, cond = _bordered(a, jac.transpose(0, 2, 1) - jac)
             det = abs(np.linalg.det(bordered))
         return np.array(cond) <= _COND_LIMIT, det, bordered
 

@@ -21,8 +21,7 @@ import numpy as np
 from . import numkernel
 from .errors import ContactKitError
 from .expr import Expression, multiply
-from .geometry import (Chart, ChartField, ContactFrame, FieldLike, FrameStack, TangentVector,
-                       as_field, frame_at, frame_stack)
+from .geometry import Chart, ChartField, ContactFrame, FieldLike, TangentVector, as_field, frame_at
 
 COMMUTATION_TOL = 1e-8  # largest bracket that counts as zero
 
@@ -66,21 +65,12 @@ def ham_field(chart: Chart, f: FieldLike, x) -> TangentVector:
     return HamiltonianField(chart, f).at(x)
 
 
-def bracket(chart: Chart, f: FieldLike, g: FieldLike, x, frames: FrameStack | None = None):
-    """``[f, g]`` at the point ``x``, or at each row of an ``(N, dim)`` stack
-    for expression or chart-field arguments, on the stack's ``frames`` if given."""
-    if np.ndim(x) == 2:
-        frames = frame_stack(chart, x) if frames is None else frames
-        ff, gf = as_field(chart, f), as_field(chart, g)
-        fv, df = ff.jet_stack(x)
-        gv, dg = gf.jet_stack(x)
-        xf = frames.fields(fv[:, None], df[:, None])[:, 0]
-        return numkernel.row_dot(dg, xf) - gv * numkernel.row_dot(df, frames.reeb)
+def bracket(chart: Chart, f: FieldLike, g: FieldLike, x) -> float:
+    """``[f, g]`` at the point ``x``."""
     fr = frame_at(chart, x)
     fv, df = _jet(as_field(chart, f), fr.x)
     gv, dg = _jet(as_field(chart, g), fr.x)
-    # as on a stack: a huge or infinite section gives a non-finite bracket,
-    # not a numpy warning
+    # a huge or infinite section gives a non-finite bracket, not a numpy warning
     with np.errstate(invalid="ignore", over="ignore"):
         return float(dg @ fr.field(fv, df)) - gv * float(df @ fr.reeb)
 

@@ -16,13 +16,14 @@ identities, sampled contact nondegeneracy, section compatibility,
 commutation residuals of the designated family (within ``COMMUTATION_TOL``)
 and membership of the Hamiltonian in the designated span (within
 ``SPAN_TOL``).  Each check takes its samples of a chart or an overlap as one
-stack (one frame stack serves every bracket of a chart); a check that raises
-runs again point by point in the order of a per-point loop, and so raises
-what that loop would.  The records stay on the model, and primer2's reduced
-view is validated on first use.  ``from_config`` checks each field where it
-reads it, and loads yaml only then: libyaml's ``CSafeLoader`` when PyYAML
-has it, else ``SafeLoader``, with the same result.  ``primer`` checks its
-profile's positivity with one stacked evaluation over the angle grid.
+stack (one jet of the section family and one frame stack serve every bracket
+of a chart); a check that raises runs again point by point in the order of a
+per-point loop, and so raises what that loop would.  The records stay on the
+model, and primer2's reduced view is validated on first use.
+``from_config`` checks each field where it reads it, and loads yaml only
+then: libyaml's ``CSafeLoader`` when PyYAML has it, else ``SafeLoader``,
+with the same result.  ``primer``'s positivity check and ``profile_zeros``
+evaluate the profile on their angle grid in one stack.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import expr
-from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _worst,
+from .bundle import (Atlas, CheckRecord, Overlap, Section, _by_blocks, _family, _worst,
                      combine_sections, validate_atlas, validate_section)
 from .errors import ContactKitError
 from .expr import Expression, compiled, parse
 from .geometry import TWO_PI, Chart, ChartField, contact_check, frame_stack
 from .jacobi import COMMUTATION_TOL, bracket
+from .numkernel import row_dot
 
 CONTACT_SAMPLES_PER_CHART = 256
 COMMUTATION_SAMPLES = 100
@@ -161,24 +163,29 @@ def _contact_record(chart: Chart) -> CheckRecord:
 
 def _commutation_records(model: Model, chart: Chart, count: int) -> list[CheckRecord]:
     """The largest bracket of each designated section with each section on
-    the chart's samples: one stack, one frame stack for every pair."""
+    the chart's samples, read off one jet of the section family and one frame
+    stack as ``[s_i, s_j] = ds_j(X_{s_i}) - s_j Z(s_i)``, each row bit for bit
+    the point ``bracket``.  If that raises, the point brackets run pair by
+    pair, so the pair a per-point loop fails first raises."""
     samples = _chart_samples(chart, count)
-    pairs = [(model.sections[i], s) for i in range(model.r + 1) for s in model.sections]
+    d = model.r + 1
+    pairs = [(si, sj) for si in model.sections[:d] for sj in model.sections]
     # a bracket of huge or infinite sections overflows or multiplies inf by
     # zero: its non-finite value fails the check below, so numpy need not warn
     with np.errstate(invalid="ignore", over="ignore"):
         try:
             frames = frame_stack(chart, samples)
-            values = [bracket(chart, si.on(chart.id), sj.on(chart.id), samples, frames)
-                      for si, sj in pairs]
+            values, grads = _family(chart, model.sections).jet_stack(samples)
+            fields = frames.fields(values[:, :d], grads[:, :d])[:, :, None]
+            reeb = row_dot(grads[:, :d], frames.reeb[:, None])[..., None]
+            brackets = row_dot(grads[:, None], fields) - values[:, None] * reeb
         except Exception:
-            # pair by pair and point by point, the order of a per-point loop
             for si, sj in pairs:
-                for n in range(len(samples)):
-                    bracket(chart, si.on(chart.id), sj.on(chart.id), samples[n:n + 1])
+                for x in samples:
+                    bracket(chart, si.on(chart.id), sj.on(chart.id), x)
             raise
     records = []
-    for (si, sj), value in zip(pairs, values):
+    for (si, sj), value in zip(pairs, brackets.reshape(len(samples), -1).T):
         worst, where = _worst(np.abs(value), samples)
         records.append(CheckRecord("commutation", f"[{si.name},{sj.name}] on {chart.id}",
                                    worst, worst <= COMMUTATION_TOL, where))
@@ -357,14 +364,20 @@ def _as_profile(n: int, f_expr: Union[str, Expression]) -> Expression:
     return f
 
 
+def _on_angles(f: Expression, var: str, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` angles spaced evenly on [0, 2 pi) and ``f`` at each, in one
+    stack that raises what ``f.eval`` raises at the first failing angle."""
+    angles = np.linspace(0.0, TWO_PI, count, endpoint=False)
+    return angles, compiled((f,), (var,)).value_stack(angles[:, None])[:, 0]
+
+
 def profile_zeros(f: Expression, var: str) -> list[float]:
     """Zeros of a one-variable periodic profile on [0, 2 pi), located by sign
     changes on a grid of ``PROFILE_ZERO_GRID`` angles and bisected to
     ``PROFILE_ZERO_TOL``.  Useful for seeding the common zero locus of a
     family whose last section carries the profile."""
     grid = PROFILE_ZERO_GRID
-    angles = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    values = np.array([f.eval({var: a}) for a in angles])
+    angles, values = _on_angles(f, var, grid)
     zeros = []
     for i in range(grid):
         a = angles[i]
@@ -407,10 +420,7 @@ def primer(n: int, omegas: Sequence[float], f_expr: Union[str, Expression],
     if len(omegas) != n:
         raise ValueError(f"need {n} frequencies, got {len(omegas)}")
     f = _as_profile(n, f_expr)
-    # one stacked evaluation; it raises what f.eval raises at its first
-    # failing angle
-    angles = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-    values = compiled((f,), (f"phi{n}",)).value_stack(angles[:, None])[:, 0]
+    angles, values = _on_angles(f, f"phi{n}", 1024)
     nonpositive = np.flatnonzero(values <= 0.0)
     if nonpositive.size:
         k = nonpositive[0]

@@ -467,7 +467,8 @@ def reference_bordered_check(chart, x):
     """``(ok, det_proxy, rank, expected_rank)`` at one point from the bordered
     ``B = [[Omega, alpha^T], [alpha, 0]]`` built here: the frame gate (a
     1-norm condition of ``B`` at most ``1 / DEFAULT_RANK_TOL``), ``|det B|``
-    and ``numerical_rank(B) - 2``, 0 where alpha vanishes."""
+    and ``numerical_rank(B) - 2``, 0 where alpha vanishes or ``B`` is not
+    finite."""
     from contactkit import numkernel
     from contactkit.geometry import OutOfDomain
     x = np.asarray(x, dtype=float)
@@ -483,7 +484,7 @@ def reference_bordered_check(chart, x):
         cond = np.linalg.norm(b, 1) * np.linalg.norm(np.linalg.inv(b), 1)
     except np.linalg.LinAlgError:
         cond = np.inf
-    rank = numkernel.numerical_rank(b) - 2 if a.any() else 0
+    rank = numkernel.numerical_rank(b) - 2 if a.any() and np.isfinite(b).all() else 0
     return (bool(cond <= 1.0 / numkernel.DEFAULT_RANK_TOL), abs(float(np.linalg.det(b))),
             rank, d - 1)
 

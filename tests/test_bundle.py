@@ -536,6 +536,21 @@ def test_stacked_classify_raises_what_the_first_failing_row_raises(chart, sectio
         assert getattr(err.value, "span", None) == getattr(failure, "span", None)
 
 
+def test_classify_reads_each_section_jet_in_turn():
+    # one jet of the family, section by section: the derivative of sqrt(q1)
+    # fails at q1 = 0 before the value of the later log(q1) is reached
+    chart = canonical_chart(1)
+    atlas = Atlas([chart])
+    sections = [Section("a", {chart.id: parse("sqrt(q1)")}),
+                Section("b", {chart.id: parse("log(q1)")})]
+    for point in (chart.point(np.array([0.3, 0.0, 0.5])),
+                  Point(chart.id, np.array([[0.3, 1.0, 0.5], [0.3, 0.0, 0.5]]))):
+        with pytest.raises(expr.DomainError) as err:
+            classify(atlas, sections, 0, point)
+        message = str(err.value)
+        assert message.startswith("sqrt derivative at zero") and "'sqrt(q1)'" in message
+
+
 def test_one_section_has_momentum_rank_zero_from_an_empty_matrix():
     model = canonical(1)
     chart = model.atlas.chart("canonical")

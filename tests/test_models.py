@@ -633,3 +633,11 @@ def test_profile_zeros_by_bisection():
     for z in shifted:
         assert abs(0.5 - np.cos(z)) < 1e-10
     assert profile_zeros(parse("2 + sin(phi2)"), "phi2") == []
+    # the stack fails sqrt's guard first, but angle 0 fails the log
+    bad = parse("sqrt(2 - phi2) + log(phi2 - 1)")
+    with pytest.raises(expr.DomainError) as want:
+        for a in np.linspace(0.0, 2 * np.pi, models.PROFILE_ZERO_GRID, endpoint=False):
+            bad.eval({"phi2": a})
+    with pytest.raises(expr.DomainError) as got:
+        profile_zeros(bad, "phi2")
+    assert str(got.value) == str(want.value) and "log" in str(got.value)

@@ -6,6 +6,7 @@ same exception type and message when a check fails or raises."""
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from contactkit import cli, models, numkernel
-from contactkit.bundle import Atlas, _worst
+from contactkit.bundle import Atlas, _family, _worst
 from contactkit.dynamics import Cycle, coordinate_circle, loop_integral
 from contactkit.errors import ContactKitError
-from contactkit.expr import parse
-from contactkit.geometry import Chart, contact_check, frame_at
+from contactkit.expr import Kernel, compiled, parse
+from contactkit.geometry import Chart, contact_check, frame_at, frame_stack
 from contactkit.models import canonical, from_config, primer, primer2, validate_model
 import helpers
 
@@ -51,7 +52,8 @@ def outcome(validate, model, strict):
 def assert_same_outcome(model):
     for strict in (False, True):
         got = outcome(validate_model, model, strict)
-        want = outcome(helpers.reference_validate_model, model, strict)
+        with np.errstate(all="ignore"):  # the oracle's own B may overflow
+            want = outcome(helpers.reference_validate_model, model, strict)
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -112,6 +114,9 @@ def _two_charts(factor, sections):
             "r": 0, "hamiltonian": "s0"}
 
 
+# d alpha = 2e308 dq0 ^ dq1: Omega = jac^T - jac overflows
+_OVERFLOWING = ["-1e308*q1", "1e308*q0", "1"]
+
 FAILING = {
     "degenerate-form": _one_chart(["1", "0", "0"], ["1"]),
     # the form degenerates where p1 < 0, and alpha fails where q1 is low:
@@ -123,6 +128,10 @@ FAILING = {
                                        ["log(q0 + 0.5)"]),
     "log-on-an-overlap": _two_charts("J", [("1", "J"), ("log(J - 0.6)", "log(J)")]),
     "non-commuting-pair": _one_chart(["1", "p1", "0"], ["p1", "q1"], r=1),
+    # row by row the family jet fails first on s2, at sample 0, but the loop
+    # over pairs reaches s1's failure, at sample 40, first
+    "later-section-fails-first-in-the-family": _one_chart(
+        ["1", "p1", "0"], ["1", "log(q1 + 1.9)", "log(p1 + 1.8)"]),
     "broken-factor": _two_charts("1.01*J", [("1", "J")]),
     "unbound-section-names": _two_charts("J", [("1", "J"), ("K + L", "1")]),
     # no overlap back, so the atlas check goes on to the sections, where the
@@ -135,6 +144,8 @@ FAILING = {
     "nan-bracket": _one_chart(["1", "p1", "0"], ["1", "1e200*q1*p1*1e200"]),
     # an infinite section: NaN brackets, and a span fit that cannot converge
     "infinite-section": _one_chart(["1", "p1", "0"], ["1e999", "1e200*q1*p1*1e200"]),
+    # B is not finite, and fails the gate
+    "overflowing-form": _one_chart(_OVERFLOWING, ["1"]),
 }
 
 
@@ -232,6 +243,7 @@ def test_worst_keeps_what_the_per_point_loop_keeps(values, start):
 # |det B| = 9 p1^4 underflows: it reads 0, the gate fails the row, and
 # numpy does not warn
 @example(alpha=["1", "p1^3", "0"], rows=[[0.0, 0.0, 1.9106597557756944e-161]])
+@example(alpha=_OVERFLOWING, rows=[[0.1, 0.1, 0.1], [0.2, -0.3, 0.4]])
 def test_stacked_contact_check_rows_equal_the_per_point_check(alpha, rows):
     chart = Chart("U", ("q0", "q1", "p1"), tuple(map(parse, alpha)), (False,) * 3,
                   ((-np.inf, np.inf),) * 3)
@@ -287,6 +299,12 @@ def test_a_row_is_nondegenerate_exactly_where_its_frame_exists(alpha, rows):
     assert contact_check(chart, x).ok.tolist() == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_form_has_no_frame_stack():
+    with pytest.raises(numkernel.SingularSystem):
+        frame_stack(_chart(_OVERFLOWING), np.array([[0.1, 0.1, 0.1], [0.2, -0.3, 0.4]]))
+
+
 def _validation_samples():
     """Each chart of the shipped models and the chart-switch config with
     its validation samples, then degenerate forms on sampled rows."""
@@ -313,6 +331,18 @@ def test_validation_computes_no_contact_rank():
         assert rank.call_count == 0
         assert result.rank.tolist() == [chart.dim - 1] * len(samples)
         assert rank.call_count == 1
+
+
+def test_validation_takes_one_family_jet_per_chart():
+    model = primer(2, OMEGA, "2 + sin(phi2)", 0, validate=False)
+    with mock.patch.object(Kernel, "jet_stack", autospec=True,
+                           side_effect=Kernel.jet_stack) as jet:
+        validate_model(model)
+    kernels = Counter(call.args[0] for call in jet.call_args_list)
+    for chart in model.atlas.charts.values():
+        assert kernels[_family(chart, model.sections)] == 1, chart.id
+        for s in model.sections:
+            assert kernels[compiled((s.on(chart.id),), chart.names)] == 0, (chart.id, s.name)
 
 
 def test_nondegeneracy_and_rank_equal_the_restriction_to_ker_alpha():
