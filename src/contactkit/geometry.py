@@ -33,6 +33,7 @@ what its first failing row raises on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Union
@@ -182,7 +183,14 @@ class Chart:
         return inside
 
     def point(self, coords) -> "Point":
-        x = self.wrap(coords)
+        """The point at ``coords`` with its angles wrapped, or ``OutOfDomain``.
+        A non-finite coordinate lies outside every chart: an angle is tested
+        before it wraps, since it would wrap to NaN."""
+        x = np.asarray(coords, dtype=float)
+        for i in self._axes[0]:
+            if not math.isfinite(x[i]):
+                raise OutOfDomain(self.id, x)
+        x = self.wrap(x)
         if not self.contains(x):
             raise OutOfDomain(self.id, x)
         x.flags.writeable = False

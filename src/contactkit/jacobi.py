@@ -65,14 +65,18 @@ def ham_field(chart: Chart, f: FieldLike, x) -> TangentVector:
     return HamiltonianField(chart, f).at(x)
 
 
+def _bracket(frame: ContactFrame, f_jet: tuple, g_jet: tuple) -> float:
+    """``[f, g] = dg(X_f) - g Z(f)`` from the frame and the jets of f and g."""
+    (fv, df), (gv, dg) = f_jet, g_jet
+    # a huge or infinite section gives a non-finite bracket, not a numpy warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(dg @ frame.field(fv, df)) - gv * float(df @ frame.reeb)
+
+
 def bracket(chart: Chart, f: FieldLike, g: FieldLike, x) -> float:
     """``[f, g]`` at the point ``x``."""
     fr = frame_at(chart, x)
-    fv, df = _jet(as_field(chart, f), fr.x)
-    gv, dg = _jet(as_field(chart, g), fr.x)
-    # a huge or infinite section gives a non-finite bracket, not a numpy warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        return float(dg @ fr.field(fv, df)) - gv * float(df @ fr.reeb)
+    return _bracket(fr, _jet(as_field(chart, f), fr.x), _jet(as_field(chart, g), fr.x))
 
 
 def bracket_field(chart: Chart, f: FieldLike, g: FieldLike):
@@ -110,12 +114,11 @@ def independence(chart: Chart, x, fs: Sequence[FieldLike]) -> IndependenceReport
     differentials, and the span of the Hamiltonian fields with and without
     the Reeb field."""
     fr = frame_at(chart, x)
-    fields = [as_field(chart, f) for f in fs]
-    rows = [fr.alpha] + [numkernel.grad(f, fr.x) for f in fields]
-    rank_wedge = numkernel.numerical_rank(np.array(rows))
-    vectors = np.array([_field_components(fr, f) for f in fields])
-    without = numkernel.numerical_rank(vectors) if len(fields) else 0
-    stacked = np.vstack([fr.reeb[None, :], vectors]) if len(fields) else fr.reeb[None, :]
+    jets = [_jet(as_field(chart, f), fr.x) for f in fs]
+    rank_wedge = numkernel.numerical_rank(np.array([fr.alpha] + [df for _, df in jets]))
+    vectors = np.array([fr.field(*jet) for jet in jets])
+    without = numkernel.numerical_rank(vectors) if jets else 0
+    stacked = np.vstack([fr.reeb[None, :], vectors]) if jets else fr.reeb[None, :]
     with_reeb = numkernel.numerical_rank(stacked)
     return IndependenceReport(rank_wedge, with_reeb, without)
 
@@ -135,24 +138,24 @@ def make_symmetry(chart: Chart, h: Expression, s: Expression, f: Expression,
     supplied sample points and raise :class:`PreconditionFailed` when they
     do not hold.
     """
-    hf = as_field(chart, h)
-    sf = as_field(chart, s)
-    ff = as_field(chart, f)
+    product = multiply(f, s)
+    hf, sf, ff, pf = (as_field(chart, e) for e in (h, s, f, product))
+    # one frame and one jet of h per point, all checked before any product
+    checked = []
     for x in points:
         fr = frame_at(chart, x)
-        commutator = bracket(chart, hf, sf, x)
+        h_jet = _jet(hf, fr.x)
+        commutator = _bracket(fr, h_jet, _jet(sf, fr.x))
         if abs(commutator) > COMMUTATION_TOL:
             raise PreconditionFailed("[h, s] != 0", x, abs(commutator))
-        xh = _field_components(fr, hf)
-        transport = float(numkernel.grad(ff, fr.x) @ xh)
+        transport = float(_jet(ff, fr.x)[1] @ fr.field(*h_jet))
         if abs(transport) > COMMUTATION_TOL:
             raise PreconditionFailed("X_h(f) != 0", x, abs(transport))
-    product = multiply(f, s)
+        checked.append((x, fr, h_jet))
     worst = 0.0
     worst_point = np.asarray(points[0], dtype=float)
-    pf = as_field(chart, product)
-    for x in points:
-        residual = abs(bracket(chart, hf, pf, x))
+    for x, fr, h_jet in checked:
+        residual = abs(_bracket(fr, h_jet, _jet(pf, fr.x)))
         if residual > worst:
             worst = residual
             worst_point = np.asarray(x, dtype=float)

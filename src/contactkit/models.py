@@ -19,7 +19,10 @@ and membership of the Hamiltonian in the designated span (within
 stack (one jet of the section family and one frame stack serve every bracket
 of a chart); a check that raises runs again point by point in the order of a
 per-point loop, and so raises what that loop would.  The records stay on the
-model, and primer2's reduced view is validated on first use.
+model, and primer2's reduced view is validated on first use.  Each sample
+set is made once, as one array: every overlap of the projective atlas
+shares one, and ``from_config`` probes the candidates for an overlap's
+omitted samples as one stack of the overlap map.
 ``from_config`` checks each field where it reads it, and loads yaml only
 then: libyaml's ``CSafeLoader`` when PyYAML has it, else ``SafeLoader``,
 with the same result.  ``primer``'s positivity check and ``profile_zeros``
@@ -307,10 +310,14 @@ def _projective_torus_atlas(n: int, samples_per_overlap: int) -> Atlas:
         charts.append(Chart(id=f"V{i}", names=names, alpha=tuple(alpha),
                             periodic=periodic, bounds=bounds, denominator=parse(denom_text)))
 
-    overlaps = []
+    # one sample set for every overlap: the ratios stay well away from zero,
+    # so any third chart also contains their image
     unit = _low_discrepancy(dim, samples_per_overlap)
+    ratios = unit[:, n + 1:]
+    signs = np.where(np.sin(37.0 * ratios + 1.0) >= 0, 1.0, -1.0)
+    samples = tuple(np.hstack([unit[:, : n + 1] * TWO_PI, (0.4 + 1.4 * ratios) * signs]))
+    overlaps = []
     for i in range(n + 1):
-        others_i = [j for j in range(n + 1) if j != i]
         for j in range(n + 1):
             if j == i:
                 continue
@@ -323,20 +330,10 @@ def _projective_torus_atlas(n: int, samples_per_overlap: int) -> Atlas:
                 else:
                     forward.append(expr.divide(expr.coordinate(_ratio_name(m)),
                                                expr.coordinate(_ratio_name(j))))
-            # samples keep every ratio well away from zero so any third
-            # chart also contains their image
-            samples = []
-            for row in unit:
-                x = np.empty(dim)
-                x[: n + 1] = row[: n + 1] * TWO_PI
-                mags = 0.4 + 1.4 * row[n + 1:]
-                signs = np.where(np.sin(37.0 * row[n + 1:] + 1.0) >= 0, 1.0, -1.0)
-                x[n + 1:] = mags * signs
-                samples.append(x)
             overlaps.append(Overlap(src=f"V{i}", dst=f"V{j}",
                                     forward=tuple(forward),
                                     factor=expr.coordinate(_ratio_name(j)),
-                                    samples=tuple(samples)))
+                                    samples=samples))
     return Atlas(charts, overlaps)
 
 
@@ -588,24 +585,20 @@ def _build_chart(spec: Mapping, path: str) -> Chart:
 
 
 def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tuple:
-    """Probe the source sample box and keep points whose image lands inside
-    the destination chart."""
+    """The first ``OVERLAP_SAMPLES`` of ``8 * OVERLAP_SAMPLES`` points of the
+    source sample box whose image is finite and inside the destination
+    chart, in probe order; a point whose image raises is left out."""
     src = atlas_charts[ov.src]
     dst = atlas_charts[ov.dst]
-    forward = compiled(ov.forward, src.names).value
-    kept = []
-    for x in _chart_samples(src, OVERLAP_SAMPLES * 8):
-        try:
-            y = np.array(forward(*x.tolist()))
-        except ContactKitError:
-            continue
-        if not np.all(np.isfinite(y)):
-            continue
-        if dst.contains(dst.wrap(y)):
-            kept.append(x)
-        if len(kept) >= OVERLAP_SAMPLES:
-            break
-    return tuple(kept)
+    forward = compiled(ov.forward, src.names)
+
+    def inside(x: np.ndarray) -> np.ndarray:
+        # membership reads only the bounded axes, so the angles need no wrap
+        y = forward.value_stack(x)
+        return x[np.isfinite(y).all(axis=1) & dst.contains(y)]
+
+    kept = _by_blocks(inside, _chart_samples(src, OVERLAP_SAMPLES * 8), skip=(ContactKitError,))
+    return tuple(x for part in kept for x in part)[:OVERLAP_SAMPLES]
 
 
 def from_config(document: Union[str, Path, Mapping]) -> Model:

@@ -3,8 +3,9 @@ atlas, a random polynomial source, and independent oracles (the config
 schema, a recursive dual-number evaluator, finite differences, the explicit
 canonical-chart bracket formula, the canonical flow equations, the contact
 field from its defining equations, the per-point validation, contact-check
-and quadrature loops the stacked ones replaced, and the Gram-Schmidt contact
-check on ker alpha that the bordered one replaced)."""
+and quadrature loops the stacked ones replaced, the per-row and
+per-candidate overlap sample loops the array ones replaced, and the
+Gram-Schmidt contact check on ker alpha that the bordered one replaced)."""
 
 import math
 
@@ -659,6 +660,43 @@ def reference_validate_model(model, form_tol=1e-9, section_tol=1e-9, commutation
             if not rec.ok:
                 raise ValidationError(rec.check, rec.subject, rec.residual, rec.where)
     return records
+
+
+def reference_projective_overlap_samples(n, count):
+    """The overlap samples of ``_projective_torus_atlas(n, count)``, one row
+    of the low-discrepancy set at a time."""
+    from contactkit.models import _low_discrepancy
+    dim = 2 * n + 1
+    samples = []
+    for row in _low_discrepancy(dim, count):
+        x = np.empty(dim)
+        x[: n + 1] = row[: n + 1] * 2 * np.pi
+        mags = 0.4 + 1.4 * row[n + 1:]
+        signs = np.where(np.sin(37.0 * row[n + 1:] + 1.0) >= 0, 1.0, -1.0)
+        x[n + 1:] = mags * signs
+        samples.append(x)
+    return samples
+
+
+def reference_auto_overlap_samples(charts, ov):
+    """The overlap samples ``from_config`` probes, one candidate at a time
+    through the scalar map: a candidate whose image raises is skipped."""
+    from contactkit.errors import ContactKitError
+    from contactkit.models import OVERLAP_SAMPLES, _chart_samples
+    src, dst = charts[ov.src], charts[ov.dst]
+    kept = []
+    for x in _chart_samples(src, OVERLAP_SAMPLES * 8):
+        try:
+            y = np.array([e.eval(src.bindings(x)) for e in ov.forward])
+        except ContactKitError:
+            continue
+        if not np.all(np.isfinite(y)):
+            continue
+        if dst.contains(dst.wrap(y)):
+            kept.append(x)
+        if len(kept) >= OVERLAP_SAMPLES:
+            break
+    return kept
 
 
 def reference_loop_integral(chart, cycle, subdivisions=8, nodes=64, closure_tol=1e-9):

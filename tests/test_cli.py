@@ -145,6 +145,18 @@ def test_start_point_of_another_dimension_exits_2_with_one_line(command, x0, cap
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["flow", "freq", "actions"])
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_a_non_finite_start_angle_exits_2_with_one_line(command, angle, capsys, tmp_path):
+    out = tmp_path / "out"
+    assert main([command, *PRIMER_ARGS, "--chart", "V0", "--x0", f"{angle},0,1,0.7,-1.3",
+                 "--t-final", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: point [{angle}, 0.0, 1.0, 0.7, -1.3] "
+                                       "outside domain of chart 'V0'\n")
+    assert not out.exists()
+
+
 def test_canonical_hamiltonian_of_a_non_coordinate_exits_2_with_one_line(capsys, tmp_path):
     out = tmp_path / "t.csv"
     assert main(["flow", "--model", "canonical", "--n", "1", "--f", "q1 * energy",

@@ -271,6 +271,18 @@ def test_point_outside_domain():
         alpha_at(chart, np.array([0.0, 0.0, 2.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 3])
+def test_a_non_finite_coordinate_lies_outside_every_chart(primer_model, value, axis):
+    # axis 0 is an angle, axis 3 a bounded ratio
+    chart = primer_model.atlas.chart("V0")
+    coords = np.array([0.0, 0.0, 1.0, 0.7, -1.3])
+    coords[axis] = value
+    with pytest.raises(OutOfDomain):
+        chart.point(coords)
+
+
 def test_default_sample_box_is_finite_on_a_one_sided_domain(primer_model):
     """An axis whose domain misses (-2, 2) samples a box 4 wide from the
     domain's finite end; every finite default stays the domain clipped to

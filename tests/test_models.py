@@ -20,7 +20,7 @@ from contactkit.jacobi import ham_field
 from contactkit.models import (PositivityViolation, SchemaError,
                                ValidationError, canonical, from_config, primer,
                                primer2, validate_model)
-from helpers import CONFIG_SCHEMA, dissipative_oracle, random_polynomial
+from helpers import CHART_SWITCH_CONFIG, CONFIG_SCHEMA, dissipative_oracle, random_polynomial
 
 OMEGA = (1.0, np.sqrt(2.0))
 
@@ -202,6 +202,22 @@ def test_rebuilding_a_model_compiles_no_kernel(monkeypatch):
     assert compiles == []
 
 
+def test_loading_a_config_compiles_no_scalar_kernel(monkeypatch):
+    # every load-time check, the overlap sample probe included, runs on stacks
+    expr.compiled.cache_clear()
+    scalar = []
+    original = expr.Kernel._compile
+
+    def counting(kernel, mode, stack=False):
+        if not stack:
+            scalar.append((kernel.names, mode))
+        return original(kernel, mode, stack)
+
+    monkeypatch.setattr(expr.Kernel, "_compile", counting)
+    from_config(Path(__file__).resolve().parent.parent / "perfbench" / "chart_switch.yaml")
+    assert scalar == []
+
+
 def test_builtin_models_pass_validation(pm):
     records = validate_model(pm, strict=False)
     assert all(r.ok for r in records)
@@ -372,6 +388,7 @@ def test_validation_rejects_hamiltonian_outside_span(tmp_path):
     assert err.value.check == "hamiltonian-span"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_schema_error_paths(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("charts: []\nsections: []\nr: 0\nhamiltonian: h\n")
@@ -393,6 +410,14 @@ def test_schema_error_paths(tmp_path):
     with pytest.raises(SchemaError) as err:
         from_config(path)
     assert "alpha[2]" in str(err.value)
+
+    # an angle image that overflows for every candidate leaves no overlap sample
+    config = copy.deepcopy(CHART_SWITCH_CONFIG)
+    config["overlaps"][0]["map"][0] = "phi0 + 1e308/(J1 - J1 + 1e-300)"
+    with pytest.raises(SchemaError) as err:
+        from_config(config)
+    assert str(err.value).startswith(
+        "config error at $.overlaps[0]: could not find overlap sample points")
 
 
 def test_config_schema_is_valid():

@@ -188,6 +188,34 @@ def test_cocycle_skips_the_samples_where_a_factor_fails():
     assert_same_outcome(replace(model, atlas=Atlas(list(model.atlas.charts.values()), overlaps)))
 
 
+@pytest.mark.parametrize("count", [32, 100])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projective_overlap_samples_equal_the_per_row_loop(n, count):
+    want = helpers.reference_projective_overlap_samples(n, count)
+    for ov in models._projective_torus_atlas(n, count).overlaps.values():
+        assert same_bits(ov.samples, want)
+
+
+def _log_edit(config):
+    """The chart-switch config with a V0 -> V1 map that raises where J1 <= 0,
+    and a V1 domain that such points would leave anyway."""
+    config = json.loads(json.dumps(config))
+    config["overlaps"][0]["map"][2] = "1/J1 + 0*log(J1)"
+    config["charts"][1]["domain"] = {"J0": [0, 1.0e6]}
+    return config
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config", [helpers.CHART_SWITCH_CONFIG,
+                                    _log_edit(helpers.CHART_SWITCH_CONFIG)],
+                         ids=["chart-switch", "log-edit"])
+def test_config_overlap_samples_equal_the_per_candidate_loop(config):
+    atlas = from_config(config).atlas
+    for ov in atlas.overlaps.values():
+        want = helpers.reference_auto_overlap_samples(atlas.charts, ov)
+        assert len(want) == models.OVERLAP_SAMPLES and same_bits(ov.samples, want)
+
+
 _ALPHAS = [["1", "p1", "0"], ["1", "0", "0"], ["1", "p1^3", "0"], ["cos(p1)", "sin(p1)", "q1"],
            ["1", "log(p1 + 1)", "0"], ["exp(q0)", "p1", "0"]]
 _SECTIONS = ["1", "p1", "q1", "q0*p1", "log(q1)", "sqrt(p1)", "1/(q1 - 0.25)",
