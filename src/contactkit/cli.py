@@ -270,7 +270,7 @@ def cmd_freq(cfg: argparse.Namespace) -> int:
     model = _load_model(cfg)
     traj, x0 = _run_flow(cfg, model)
     chart = model.atlas.chart(x0.chart)
-    indices = [i for i, per in enumerate(chart.periodic) if per]
+    indices = model.angle_indices(x0.chart)
     fit = frequencies(traj, indices, model.atlas)
     payload = {
         "config": vars(cfg),

@@ -7,8 +7,9 @@ combines the pair's 5th- and 3rd-order estimates, and the step controller
 uses the exponent -1/8.  A requested sample inside an accepted step comes
 from the dense output, whose three extra stages are computed only for a
 step that covers such a sample, so sample spacing is set by the sample
-count and not by the step; a sample at a step's end is the step's end
-point.
+count and not by the step.  A sample is a row of the step's stack of dense
+states, wrapped and checked against the chart once; a sample at a step's
+end is the step's wrapped end state.
 
 Chart changes happen when the current point drifts within
 ``BOUNDARY_MARGIN`` (relative to the axis) of a bounded domain wall, or
@@ -225,9 +226,8 @@ def _resolve_hamiltonian(model, atlas: Atlas, h) -> Section:
 def _boundary_gap(chart: Chart, x: np.ndarray) -> float:
     """Distance to the nearest finite bound, as a fraction of its axis width."""
     gap = np.inf
-    for i, per in enumerate(chart.periodic):
-        lo, hi = chart.bounds[i]
-        if not per and np.isfinite(lo) and np.isfinite(hi):
+    for i, lo, hi in chart._axes[1]:
+        if np.isfinite(lo) and np.isfinite(hi):
             gap = min(gap, min(x[i] - lo, hi - x[i]) / (hi - lo))
     return gap
 
@@ -283,10 +283,11 @@ def flow(model, h, x0: Point, t_final: float,
     units (negative runs backwards), sampling ``n_samples`` evenly spaced
     states.
 
-    A sample inside a step is the step's dense output, on the step's chart;
-    a step whose dense output leaves the chart at a sample is rejected like
-    a step that ends outside it.  A sample at a step's end (the last sample
-    always is one) is the end point, taken after any chart change there.
+    A sample inside a step is a row of the step's wrapped and checked stack
+    of dense states, on the step's chart; a step whose dense output leaves
+    the chart at a sample is rejected like a step that ends outside it.  A
+    sample at a step's end (the last sample always is one) is the wrapped
+    end state, taken after any chart change there.
     """
     atlas: Atlas = getattr(model, "atlas", model)
     section = _resolve_hamiltonian(model, atlas, h)
@@ -311,10 +312,9 @@ def flow(model, h, x0: Point, t_final: float,
     switches: list[ChartSwitch] = []
     next_sample = 1
 
-    def try_switch(require: bool) -> bool:
+    def try_switch(wrapped: np.ndarray, current: float) -> bool:
+        """Move to the neighbour whose health at ``wrapped`` beats ``current``."""
         nonlocal chart, y, k1
-        wrapped = chart.wrap(y)
-        current = -np.inf if require else _chart_health(chart, wrapped)
         best_score = current
         best = None
         for dst in atlas.neighbors(chart.id):
@@ -375,12 +375,11 @@ def flow(model, h, x0: Point, t_final: float,
                 k[i] = rhs(chart, y + h_step * (_A[i] @ k[:i]))
             y1 = y + h_step * (_B @ k[:12])
             err = _error_norm(h_step, k[:12], atol + rtol * np.maximum(np.abs(y), np.abs(y1)))
-            if err <= 1.0 and chart.contains(chart.wrap(y1)):
+            if err <= 1.0 and chart.contains(end := chart.wrap(y1)):
                 k[12] = rhs(chart, y1)
-                stop = next_sample
-                while stop < len(sample_times) and \
-                        direction * (sample_times[stop] - t_new) <= 1e-12 * max(1.0, abs(t_new)):
-                    stop += 1
+                # sample_times runs in the flow's direction, so this is monotone
+                stop = np.searchsorted(direction * (sample_times - t_new),
+                                       1e-12 * max(1.0, abs(t_new)), side="right")
                 covered = sample_times[next_sample:stop]
                 inner = covered[direction * (covered - t_new) < 0.0]
                 states = np.empty((0, y.shape[0]))
@@ -407,14 +406,15 @@ def flow(model, h, x0: Point, t_final: float,
                 h_abs = 0.5 * h_try
             if wedged or h_abs < 1e-14 * max(1.0, abs(t)):
                 # wedged against an obstruction; a chart change is the way out
-                if try_switch(require=True):
+                if try_switch(chart.wrap(y), -np.inf):
                     h_abs = 1e-6 * max(1.0, abs(t_final))
                     left_chart = False
                     continue
                 raise LeftAtlas(t, chart.id)
             continue
 
-        points.extend(chart.point(x) for x in states)
+        states.flags.writeable = False
+        points.extend(Point(chart.id, row) for row in states)
         stats.accepted += 1
         stats.min_step = min(stats.min_step, h_try)
         stats.max_step = max(stats.max_step, h_try)
@@ -423,13 +423,13 @@ def flow(model, h, x0: Point, t_final: float,
         y = y1
         k1 = k[12]
 
-        switched = False
-        wrapped = chart.wrap(y)
-        if _boundary_gap(chart, wrapped) < BOUNDARY_MARGIN or \
-                _chart_health(chart, wrapped) < switch_tol:
-            switched = try_switch(require=False)
+        health = _chart_health(chart, end)
+        switched = (_boundary_gap(chart, end) < BOUNDARY_MARGIN or health < switch_tol) \
+            and try_switch(end, health)
         # samples at the step's end are taken on the chart it ends on
-        points.extend(chart.point(y) for _ in range(stop - next_sample - inner.size))
+        end = y if switched else end
+        end.flags.writeable = False
+        points.extend(Point(chart.id, end) for _ in range(stop - next_sample - inner.size))
         next_sample = stop
         if not switched:
             factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)

@@ -11,7 +11,7 @@ from contactkit.dynamics import (ControllerStats, Cycle, InsufficientSamples,
 from contactkit.expr import parse
 from contactkit.geometry import Chart, Point
 from contactkit.models import Model, canonical, from_config, primer, primer2
-from helpers import canonical_chart, normal_form_chart
+from helpers import CHART_SWITCH_CONFIG, canonical_chart, normal_form_chart
 
 OMEGA = (1.0, np.sqrt(2.0))
 
@@ -391,12 +391,16 @@ def test_frequencies_reject_chart_without_the_name():
         frequencies(traj, [0])
 
 
-def test_frequencies_need_samples(pm):
+@pytest.mark.parametrize("n_samples", [9, 10])
+def test_frequencies_need_samples(pm, n_samples):
     chart = pm.atlas.chart("V0")
     x0 = chart.point(np.array([0.0, 0.0, 1.0, 0.7, -1.3]))
-    traj = flow(pm, None, x0, 1.0, n_samples=5)
-    with pytest.raises(InsufficientSamples):
-        frequencies(traj, [0], pm.atlas)
+    traj = flow(pm, None, x0, 1.0, n_samples=n_samples)
+    if n_samples < 10:
+        with pytest.raises(InsufficientSamples):
+            frequencies(traj, [0], pm.atlas)
+    else:
+        assert frequencies(traj, [0], pm.atlas).omegas[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_loop_integral_normal_form_chart():
@@ -461,6 +465,36 @@ def test_backward_flow_switches_charts_back():
     final = back.points[-1]
     assert final.chart == "V0"
     assert np.max(np.abs(chart.shortest_arc_delta(final.coords, x0.coords))) < 1e-8
+
+
+@pytest.mark.parametrize("make, start, t_final, options, switches", [
+    (lambda: primer(2, OMEGA, "2 + sin(phi2)", k=0), [0.3, 0.5, 1.0, 0.7, -1.3], 100.0,
+     {"n_samples": 2001}, 0),
+    (lambda: from_config(CHART_SWITCH_CONFIG), [0.4, np.pi / 2, 0.11], -200.0,
+     {"n_samples": 401, "switch_tol": 0.3}, 7),
+], ids=["primer", "chart-switch-backwards"])
+def test_flow_makes_a_point_only_for_the_start(monkeypatch, make, start, t_final, options,
+                                               switches):
+    """A sample is a row of a step's checked stack or the wrapped end state,
+    and equals what ``Chart.point`` makes of its coordinates on its chart."""
+    model = make()
+    x0 = model.atlas.chart("V0").point(np.array(start))
+    point = Chart.point
+    calls = []
+
+    def counted(chart, coords):
+        calls.append(chart.id)
+        return point(chart, coords)
+
+    monkeypatch.setattr(Chart, "point", counted)
+    traj = flow(model, None, x0, t_final, **options)
+    monkeypatch.undo()
+    assert calls == ["V0"]
+    assert len(traj.points) == options["n_samples"]
+    assert len(traj.switches) == switches
+    for p in traj.points:
+        assert not p.coords.flags.writeable
+        assert model.atlas.chart(p.chart).point(p.coords).coords.tobytes() == p.coords.tobytes()
 
 
 def test_drift_error_carries_sample_time(pm):

@@ -271,6 +271,19 @@ def test_point_outside_domain():
         alpha_at(chart, np.array([0.0, 0.0, 2.0]))
 
 
+def test_a_stack_row_on_a_finite_bound_lies_outside_as_one_point_does():
+    names = ("q0", "q1", "p1")
+    chart = Chart("box", names,
+                  (expr.literal(1.0), expr.coordinate("p1"), expr.literal(0.0)),
+                  (False,) * 3, ((-1.0, 1.0), (0.0, np.inf), (-np.inf, 2.0)))
+    rows = np.array([[0.0, 1.0, 0.0],
+                     [-1.0, 1.0, 0.0], [1.0, 1.0, 0.0],    # on both bounds of q0
+                     [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]])    # on q1's lower, p1's upper one
+    want = [True, False, False, False, False]
+    assert chart.contains(rows).tolist() == want
+    assert [chart.contains(row) for row in rows] == want
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", [0, 3])
