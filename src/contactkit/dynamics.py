@@ -37,8 +37,9 @@ import numpy as np
 from .bundle import Atlas, OutOfAtlas, Section
 from .errors import ContactKitError
 from .expr import DomainError, Expression, parse
-from .geometry import (Chart, ChartField, OutOfDomain, Point, TWO_PI, _by_blocks, _check_domain,
-                       frame_at)
+from .geometry import (Chart, ChartField, ContactFrame, OutOfDomain, Point, TWO_PI, _by_blocks,
+                       _check_domain)
+from .geometry import frame_at  # noqa: F401 - perfbench/spans.py traces this name
 from .jacobi import _field_components
 from .numkernel import SingularSystem, row_dot
 
@@ -297,7 +298,7 @@ def flow(model, h, x0: Point, t_final: float,
         if chart.id not in evaluators:
             evaluators[chart.id] = ChartField(chart, section.on(chart.id))
         stats.rhs_evaluations += 1
-        return _field_components(frame_at(chart, chart.wrap(x)), evaluators[chart.id])
+        return _field_components(ContactFrame(chart, chart.checked(x)), evaluators[chart.id])
 
     stats = ControllerStats()
     chart = atlas.chart_of(x0)
@@ -382,12 +383,11 @@ def flow(model, h, x0: Point, t_final: float,
                                        1e-12 * max(1.0, abs(t_new)), side="right")
                 covered = sample_times[next_sample:stop]
                 inner = covered[direction * (covered - t_new) < 0.0]
-                states = np.empty((0, y.shape[0]))
                 if inner.size:
                     for i in range(13, 16):
                         k[i] = rhs(chart, y + h_step * (_A[i] @ k[:i]))
                     states = chart.wrap(_dense(y, y1, h_step, k, (inner - t) / h_step))
-                inside = bool(np.all(chart.contains(states)))
+                inside = not inner.size or bool(np.all(chart.contains(states)))
         except (OutOfDomain, DomainError, SingularSystem):
             pass
 
@@ -413,8 +413,9 @@ def flow(model, h, x0: Point, t_final: float,
                 raise LeftAtlas(t, chart.id)
             continue
 
-        states.flags.writeable = False
-        points.extend(Point(chart.id, row) for row in states)
+        if inner.size:
+            states.flags.writeable = False
+            points.extend(Point(chart.id, row) for row in states)
         stats.accepted += 1
         stats.min_step = min(stats.min_step, h_try)
         stats.max_step = max(stats.max_step, h_try)

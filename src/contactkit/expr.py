@@ -26,8 +26,9 @@ contact form, an overlap's map from it, a section family or a single
 formula on it); only a free formula compiles over its own arguments.  A
 kernel generates on first use one function for the value, one for the
 value with the full gradient (the jet, forward mode with the component
-arithmetic of dual numbers, every direction in one call) and one for a
-single directional derivative.  The domain guards are inline in the
+arithmetic of dual numbers, every direction in one call), one for a
+single directional derivative and, for a contact form's coefficients, one
+for the rows of its bordered matrix.  The domain guards are inline in the
 generated code; the source never contains a coordinate name or any text
 of the formula.  The value and the jet also compile to array
 functions over a stack of points, one row each, generated from the same
@@ -589,14 +590,19 @@ class Kernel:
     ``jet(*x)`` returns it together with, per expression, the tuple of its
     partials along every name (exactly zero along names the expression does
     not read).  ``tangent(*x, *dx)`` returns the values with each
-    expression's derivative along ``dx``.  Each entry point is generated on
-    first use.  Derivatives follow dual-number arithmetic component by
-    component, so they equal one forward pass per seeded direction bit for
-    bit.  A jet raises what those passes would raise taken in order:
-    expression by expression, one pass per name the expression reads, in
-    the order of ``names``, the first pass also checking the values.  The
-    generated source holds generated identifiers, float literals, integer
-    exponents and ``math`` functions only.
+    expression's derivative along ``dx``.  For as many expressions as names,
+    the coefficients ``a_j`` of a contact form, ``bordered(*x)`` returns the
+    rows of ``B = [[Omega, a^T], [a, 0]]`` as a tuple of tuples, with
+    ``Omega_jk = d_j a_k - d_k a_j`` the subtraction a stacked jet's
+    ``J^T - J`` makes; it runs the jet's code, so it raises what the jet
+    raises.  Each entry point is generated on first use.  Derivatives
+    follow dual-number arithmetic component by component, so they equal
+    one forward pass per seeded direction bit for bit.  A jet raises what
+    those passes would raise taken in order: expression by expression, one
+    pass per name the expression reads, in the order of ``names``, the
+    first pass also checking the values.  The generated source holds
+    generated identifiers, float literals, integer exponents and ``math``
+    functions only.
 
     ``value_stack(x)`` and ``jet_stack(x)`` take an ``(N, len(names))``
     array, one point per row, and return the values as an ``(N, exprs)``
@@ -630,6 +636,10 @@ class Kernel:
     @cached_property
     def tangent(self) -> Callable[..., tuple]:
         return self._compile("tangent")
+
+    @cached_property
+    def bordered(self) -> Callable[..., tuple]:
+        return self._compile("bordered")
 
     @cached_property
     def _value_rows(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -694,7 +704,14 @@ class Kernel:
                 params += [f"s{i}" for i in range(n)]
             elif mode == "jet":
                 derivs = [_tuple(row.get(i, "0.0") for i in range(n)) for row in derivs]
-            result = (_tuple(values) if mode == "value"
+            elif mode == "bordered":
+                # Omega_jk = d_j a_k - d_k a_j, as a stacked J^T - J subtracts;
+                # a "- 0.0" is left out, which changes no bit
+                d = [[row.get(i, "0.0") for i in range(n)] for row in derivs]
+                omega = [[a if b == "0.0" else f"{a} - {b}" for a, b in zip(col, row)]
+                         for col, row in zip(zip(*d), d)]
+                values = [_tuple([*w, v]) for w, v in zip(omega, values)] + [_tuple([*values, "0.0"])]
+            result = (_tuple(values) if mode in ("value", "bordered")
                       else f"{_tuple(values)}, {_tuple(derivs)}")
             head = [f"def _kernel({', '.join(params)}):"]
             tail = [f"    return {result}"]

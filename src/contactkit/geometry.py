@@ -20,8 +20,9 @@ annihilator of ``Z``, and ``P alpha = 0``.
 
 :func:`frame_stack` builds the frames of a whole stack of points, one row
 each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
-same condition gate applied per row.  A :class:`ContactFrame` is that
-inverse on a stack of one, so there is one frame path.  A single formula
+condition gate applied per row.  A :class:`ContactFrame` takes the rows of
+``B`` at one point as Python floats from the chart's kernel and inverts it
+once; a point and a stack share ``B``, the gate and the bits.  A single formula
 on a chart is a :class:`ChartField` (its value and jet, at a point or over
 a stack), compiled over the chart's coordinates as the contact form is.
 :func:`contact_check` reads the same ``B`` at a point or a stack:
@@ -182,17 +183,26 @@ class Chart:
             inside &= (lo < x[:, i]) & (x[:, i] < hi)
         return inside
 
-    def point(self, coords) -> "Point":
-        """The point at ``coords`` with its angles wrapped, or ``OutOfDomain``.
-        A non-finite coordinate lies outside every chart: an angle is tested
-        before it wraps, since it would wrap to NaN."""
-        x = np.asarray(coords, dtype=float)
-        for i in self._axes[0]:
+    def checked(self, coords) -> list[float]:
+        """The coordinates of one point as Python floats with the angles
+        wrapped, or ``OutOfDomain``.  A non-finite coordinate lies outside
+        every chart: an angle is tested before it wraps, since it would wrap
+        to NaN."""
+        x = np.asarray(coords, dtype=float).tolist()
+        periodic, bounded = self._axes
+        for i in periodic:
             if not math.isfinite(x[i]):
+                raise OutOfDomain(self.id, coords)
+            r = x[i] % TWO_PI
+            x[i] = 0.0 if r == TWO_PI else r
+        for i, lo, hi in bounded:
+            if not lo < x[i] < hi:
                 raise OutOfDomain(self.id, x)
-        x = self.wrap(x)
-        if not self.contains(x):
-            raise OutOfDomain(self.id, x)
+        return x
+
+    def point(self, coords) -> "Point":
+        """The point at ``coords`` with its angles wrapped, or ``OutOfDomain``."""
+        x = np.array(self.checked(coords))
         x.flags.writeable = False
         return Point(self.id, x)
 
@@ -303,13 +313,6 @@ def alpha_components(chart: Chart, x) -> np.ndarray:
     return np.array(chart.alpha_kernel.value(*_floats(x)))
 
 
-def _alpha_jet(chart: Chart, x) -> tuple[np.ndarray, np.ndarray]:
-    """``alpha`` and ``Omega`` at ``x`` from one call of the chart's kernel."""
-    values, rows = chart.alpha_kernel.jet(*_floats(x))
-    grads = np.array(rows)
-    return np.array(values), grads.T - grads
-
-
 def alpha_at(chart: Chart, x) -> CoVector:
     x = _check_domain(chart, x)
     return CoVector(chart.id, x, alpha_components(chart, x))
@@ -319,9 +322,10 @@ def dalpha_matrix(chart: Chart, x) -> np.ndarray:
     """Antisymmetric matrix of ``d alpha``: entry (j, k) is d_j a_k - d_k a_j.
 
     Coefficients are only differentiated along coordinates they mention;
-    every other entry is exactly zero.
+    every other entry is exactly zero.  It is the leading block of the
+    bordered ``B`` a :class:`ContactFrame` inverts.
     """
-    return _alpha_jet(chart, x)[1]
+    return np.array(chart.alpha_kernel.bordered(*_floats(x)))[:-1, :-1]
 
 
 def dalpha_at(chart: Chart, x) -> np.ndarray:
@@ -332,6 +336,22 @@ def dalpha_at(chart: Chart, x) -> np.ndarray:
 # the frame gate: a condition estimate of B that is finite and at most
 # 1 / DEFAULT_RANK_TOL, the rank scale of numkernel.solve
 _COND_LIMIT = 1.0 / numkernel.DEFAULT_RANK_TOL
+
+
+def _conditions(pair: np.ndarray) -> list[float]:
+    """The 1-norm condition estimates ``|B|_1 |B^-1|_1`` from a stack of the
+    ``B`` followed by their inverses.  The products are taken on Python
+    floats, so one that overflows is infinite without a numpy warning."""
+    norms = np.abs(pair).sum(axis=1).max(axis=1).tolist()
+    n = len(norms) // 2
+    return [p * q for p, q in zip(norms[:n], norms[n:])]
+
+
+def _gate(cond: list[float], size: int) -> None:
+    """Raise ``SingularSystem`` for the first estimate that fails the frame gate."""
+    for c in cond:
+        if not c <= _COND_LIMIT:  # a NaN estimate fails too
+            raise numkernel.SingularSystem(None, size, c)
 
 
 def _bordered(alpha: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
@@ -354,36 +374,37 @@ def _bordered(alpha: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndar
                 inv[k] = np.linalg.inv(b)
             except np.linalg.LinAlgError:
                 singular.append(k)
-    norms = np.abs(pair).sum(axis=1).max(axis=1)
-    cond = (norms[:n] * norms[n:]).tolist()
+    cond = _conditions(pair)
     for k in singular:
         cond[k] = np.inf
     return bordered, inv, cond
 
 
-def _bordered_inverse(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Inverses ``(N, d + 1, d + 1)`` of the ``B`` of a stack; raises
-    ``SingularSystem`` for the first row that fails the frame gate."""
-    _, inv, cond = _bordered(alpha, omega)
-    for c in cond:
-        if not c <= _COND_LIMIT:  # a NaN estimate fails too
-            raise numkernel.SingularSystem(None, alpha.shape[1] + 1, c)
-    return inv
-
-
 class ContactFrame:
-    """Contact data of one chart at one point: the bordered inverse of
-    ``B`` on a stack of one.  Raises ``SingularSystem`` where ``B`` fails
-    the frame gate."""
+    """Contact data of one chart at one point ``x``: an array, or a list of
+    Python floats as :meth:`Chart.checked` returns.  The chart's kernel gives
+    the rows of ``B`` at those floats, and ``B`` is inverted once and passes
+    the frame gate of :func:`frame_stack`, so a frame equals its row of a
+    stack bit for bit; ``alpha`` and ``omega`` are views of ``B``.  Raises
+    ``SingularSystem`` where ``B`` fails the gate."""
 
     def __init__(self, chart: Chart, x):
         self.chart = chart
-        self.x = np.asarray(x, dtype=float)
-        self.alpha, self.omega = _alpha_jet(chart, self.x)
+        self.coords = x if isinstance(x, list) else _floats(x)
+        b = np.array(chart.alpha_kernel.bordered(*self.coords))
         d = chart.dim
-        inv = _bordered_inverse(self.alpha[None], self.omega[None])[0]
+        try:
+            inv = np.linalg.inv(b)
+        except np.linalg.LinAlgError:  # exactly singular
+            raise numkernel.SingularSystem(None, d + 1, np.inf) from None
+        _gate(_conditions(np.array((b, inv))), d + 1)
+        self.alpha, self.omega = b[d, :d], b[:d, :d]
         self._sharp = inv[:d, :d]
         self.reeb = inv[:d, d]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return np.array(self.coords)
 
     def sharp(self, eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
@@ -424,8 +445,9 @@ def frame_stack(chart: Chart, x) -> FrameStack:
     alpha, jac = chart.alpha_kernel.jet_stack(x)
     # a B that overflows fails the gate, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        inv = _bordered_inverse(alpha, jac.transpose(0, 2, 1) - jac)
+        _, inv, cond = _bordered(alpha, jac.transpose(0, 2, 1) - jac)
     d = chart.dim
+    _gate(cond, d + 1)
     return FrameStack(inv[:, :d, :d], inv[:, :d, d])
 
 

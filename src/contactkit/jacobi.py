@@ -34,16 +34,18 @@ class PreconditionFailed(ContactKitError):
         super().__init__(f"{what}: residual {residual:.3e} at {self.where.tolist()}")
 
 
-def _jet(field, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient of a scalar field: one kernel call for a chart
-    field, the field and ``numkernel.grad`` for a plain callable."""
+def _jet(field, frame: ContactFrame) -> tuple[float, np.ndarray]:
+    """Value and gradient of a scalar field at the frame's point: one kernel
+    call on the frame's floats for a chart field, the field and
+    ``numkernel.grad`` for a plain callable."""
     if isinstance(field, ChartField):
-        return field.jet(x)
-    return float(field(x)), numkernel.grad(field, x)
+        (value,), (partials,) = field.kernel.jet(*frame.coords)
+        return value, np.array(partials)
+    return float(field(frame.x)), numkernel.grad(field, frame.x)
 
 
 def _field_components(frame: ContactFrame, field) -> np.ndarray:
-    return frame.field(*_jet(field, frame.x))
+    return frame.field(*_jet(field, frame))
 
 
 class HamiltonianField:
@@ -76,7 +78,7 @@ def _bracket(frame: ContactFrame, f_jet: tuple, g_jet: tuple) -> float:
 def bracket(chart: Chart, f: FieldLike, g: FieldLike, x) -> float:
     """``[f, g]`` at the point ``x``."""
     fr = frame_at(chart, x)
-    return _bracket(fr, _jet(as_field(chart, f), fr.x), _jet(as_field(chart, g), fr.x))
+    return _bracket(fr, _jet(as_field(chart, f), fr), _jet(as_field(chart, g), fr))
 
 
 def bracket_field(chart: Chart, f: FieldLike, g: FieldLike):
@@ -114,7 +116,7 @@ def independence(chart: Chart, x, fs: Sequence[FieldLike]) -> IndependenceReport
     differentials, and the span of the Hamiltonian fields with and without
     the Reeb field."""
     fr = frame_at(chart, x)
-    jets = [_jet(as_field(chart, f), fr.x) for f in fs]
+    jets = [_jet(as_field(chart, f), fr) for f in fs]
     rank_wedge = numkernel.numerical_rank(np.array([fr.alpha] + [df for _, df in jets]))
     vectors = np.array([fr.field(*jet) for jet in jets])
     without = numkernel.numerical_rank(vectors) if jets else 0
@@ -144,18 +146,18 @@ def make_symmetry(chart: Chart, h: Expression, s: Expression, f: Expression,
     checked = []
     for x in points:
         fr = frame_at(chart, x)
-        h_jet = _jet(hf, fr.x)
-        commutator = _bracket(fr, h_jet, _jet(sf, fr.x))
+        h_jet = _jet(hf, fr)
+        commutator = _bracket(fr, h_jet, _jet(sf, fr))
         if abs(commutator) > COMMUTATION_TOL:
             raise PreconditionFailed("[h, s] != 0", x, abs(commutator))
-        transport = float(_jet(ff, fr.x)[1] @ fr.field(*h_jet))
+        transport = float(_jet(ff, fr)[1] @ fr.field(*h_jet))
         if abs(transport) > COMMUTATION_TOL:
             raise PreconditionFailed("X_h(f) != 0", x, abs(transport))
         checked.append((x, fr, h_jet))
     worst = 0.0
     worst_point = np.asarray(points[0], dtype=float)
     for x, fr, h_jet in checked:
-        residual = abs(_bracket(fr, h_jet, _jet(pf, fr.x)))
+        residual = abs(_bracket(fr, h_jet, _jet(pf, fr)))
         if residual > worst:
             worst = residual
             worst_point = np.asarray(x, dtype=float)

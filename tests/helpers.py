@@ -4,10 +4,12 @@ schema, a recursive dual-number evaluator, finite differences, the explicit
 canonical-chart bracket formula, the canonical flow equations, the contact
 field from its defining equations, the per-point validation, contact-check
 and quadrature loops the stacked ones replaced, the per-row and
-per-candidate overlap sample loops the array ones replaced, and the
-Gram-Schmidt contact check on ker alpha that the bordered one replaced)."""
+per-candidate overlap sample loops the array ones replaced, the
+Gram-Schmidt contact check on ker alpha that the bordered one replaced, and
+the contact frame on a stack of one that the one-point frame replaced)."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -488,6 +490,33 @@ def reference_bordered_check(chart, x):
     rank = numkernel.numerical_rank(b) - 2 if a.any() and np.isfinite(b).all() else 0
     return (bool(cond <= 1.0 / numkernel.DEFAULT_RANK_TOL), abs(float(np.linalg.det(b))),
             rank, d - 1)
+
+
+def reference_frame(chart, x):
+    """The contact frame at one point as a stack of one: ``alpha`` and
+    ``Omega`` from the chart's jet, ``B`` and its inverse filled into one
+    zeroed pair, a stacked ``inv`` and the 1-norm condition gate.  It holds
+    what ``jacobi._field_components`` reads: ``x``, its floats ``coords`` and
+    ``field``."""
+    from contactkit import numkernel
+    x = np.asarray(x, dtype=float)
+    values, rows = chart.alpha_kernel.jet(*x.tolist())
+    grads = np.array(rows)
+    alpha, omega, d = np.array(values), grads.T - grads, chart.dim
+    pair = np.zeros((2, d + 1, d + 1))
+    pair[0, :d, :d] = omega
+    pair[0, :d, d] = pair[0, d, :d] = alpha
+    try:
+        pair[1] = np.linalg.inv(pair[:1])[0]
+        norms = np.abs(pair).sum(axis=1).max(axis=1)
+        cond = float(norms[0] * norms[1])
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond <= 1.0 / numkernel.DEFAULT_RANK_TOL:
+        raise numkernel.SingularSystem(None, d + 1, cond)
+    sharp, reeb = pair[1, :d, :d], pair[1, :d, d]
+    return SimpleNamespace(chart=chart, x=x, coords=x.tolist(), alpha=alpha, omega=omega,
+                           reeb=reeb, field=lambda value, df: sharp @ df + value * reeb)
 
 
 def _rank(residual):

@@ -11,7 +11,7 @@ from contactkit.dynamics import (ControllerStats, Cycle, InsufficientSamples,
 from contactkit.expr import parse
 from contactkit.geometry import Chart, Point
 from contactkit.models import Model, canonical, from_config, primer, primer2
-from helpers import CHART_SWITCH_CONFIG, canonical_chart, normal_form_chart
+from helpers import CHART_SWITCH_CONFIG, canonical_chart, normal_form_chart, reference_frame
 
 OMEGA = (1.0, np.sqrt(2.0))
 
@@ -495,6 +495,28 @@ def test_flow_makes_a_point_only_for_the_start(monkeypatch, make, start, t_final
     for p in traj.points:
         assert not p.coords.flags.writeable
         assert model.atlas.chart(p.chart).point(p.coords).coords.tobytes() == p.coords.tobytes()
+
+
+@pytest.mark.parametrize("make, chart, start, t_final, options, switches", [
+    (lambda: from_config(CHART_SWITCH_CONFIG), "V0", [0.4, np.pi / 2, 0.11], 600.0,
+     {"n_samples": 2, "switch_tol": 0.3}, 19),
+    (lambda: from_config(CHART_SWITCH_CONFIG), "V0", [0.4, np.pi / 2, 0.11], -200.0,
+     {"n_samples": 401, "switch_tol": 0.3}, 7),
+    (lambda: primer2(2, OMEGA, "sin(phi2)"), "V2", [0.3, 0.5, 1.0, 0.8, -0.5], 20.0,
+     {"n_samples": 201}, 0),
+], ids=["chart-switch", "chart-switch-backwards", "primer2"])
+def test_flow_equals_the_flow_on_frames_from_a_stack_of_one(monkeypatch, make, chart, start,
+                                                            t_final, options, switches):
+    model = make()
+    x0 = model.atlas.chart(chart).point(np.array(start))
+    got = flow(model, None, x0, t_final, **options)
+    monkeypatch.setattr(dynamics, "ContactFrame", reference_frame)
+    want = flow(model, None, x0, t_final, **options)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert [p.chart for p in got.points] == [p.chart for p in want.points]
+    assert all(g.coords.tobytes() == w.coords.tobytes() for g, w in zip(got.points, want.points))
+    assert got.switches == want.switches and len(got.switches) == switches
+    assert got.stats == want.stats
 
 
 def test_drift_error_carries_sample_time(pm):

@@ -435,19 +435,34 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _bordered_stack(kernel):
+    """``B = [[J^T - J, a^T], [a, 0]]`` per row from the stacked jet of ``a``."""
+    def rows(x):
+        values, jac = kernel.jet_stack(x)
+        n = values.shape[1]
+        b = np.zeros((len(x), n + 1, n + 1))
+        with np.errstate(all="ignore"):
+            b[:, :n, :n] = jac.transpose(0, 2, 1) - jac
+        b[:, :n, n] = b[:, n, :n] = values
+        return b
+    return rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
                      min_size=1, max_size=12),
        edges=st.lists(st.sampled_from([0.0, -0.0, 1e-200, 800.0]), max_size=3))
 def test_stacked_kernel_rows_equal_the_scalar_kernel(rows, edges):
     """Every row of value_stack and jet_stack equals the scalar entry point
-    bit for bit; a failing stack raises the type, span and message of the
+    bit for bit, and so does the bordered matrix of the stacked jet equal
+    ``bordered``; a failing stack raises the type, span and message of the
     scalar error on its first failing row."""
     x = np.array(rows + [(z, z) for z in edges] + [(z, 1.0) for z in edges])
     for source in _STACK_SOURCES:
         kernel = expr.Kernel([parse(source), parse("x * y")], ["x", "y"])
         for jet, stacked, scalar in ((False, kernel.value_stack, kernel.value),
-                                     (True, kernel.jet_stack, kernel.jet)):
+                                     (True, kernel.jet_stack, kernel.jet),
+                                     (False, _bordered_stack(kernel), kernel.bordered)):
             expected, failure = [], None
             for row in x.tolist():
                 try:

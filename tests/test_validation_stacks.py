@@ -19,7 +19,9 @@ from contactkit.bundle import Atlas, _family, _worst
 from contactkit.dynamics import Cycle, coordinate_circle, loop_integral
 from contactkit.errors import ContactKitError
 from contactkit.expr import Kernel, compiled, parse
-from contactkit.geometry import Chart, contact_check, frame_at, frame_stack
+from contactkit.geometry import (Chart, ChartField, ContactFrame, contact_check, frame_at,
+                                 frame_stack)
+from contactkit.jacobi import _field_components
 from contactkit.models import canonical, from_config, primer, primer2, validate_model
 import helpers
 
@@ -331,6 +333,78 @@ def test_a_row_is_nondegenerate_exactly_where_its_frame_exists(alpha, rows):
 def test_an_overflowing_form_has_no_frame_stack():
     with pytest.raises(numkernel.SingularSystem):
         frame_stack(_chart(_OVERFLOWING), np.array([[0.1, 0.1, 0.1], [0.2, -0.3, 0.4]]))
+
+
+# Omega overflows in its subtraction; B = [[Omega, alpha^T], [alpha, 0]] is
+# finite at p1 = 1e300, but the product of its two 1-norms overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, x", [(_OVERFLOWING, [0.1, 0.1, 0.1]),
+                                      (["1", "p1", "0"], [0.1, 0.1, 1e300])],
+                         ids=["omega", "condition"])
+def test_an_overflowing_form_has_no_frame_at(alpha, x):
+    chart, x = _chart(alpha), np.array(x)
+    with pytest.raises(numkernel.SingularSystem) as stacked:
+        frame_stack(chart, x[None])
+    with pytest.raises(numkernel.SingularSystem) as one:
+        frame_at(chart, x)
+    assert str(one.value) == str(stacked.value)
+
+
+def assert_frames_are_rows(chart, x, fields=()):
+    """The frame at each row of ``x``, from an array and from a list of
+    floats, is that row of ``frame_stack``, bit for bit: ``sharp``, ``reeb``,
+    ``alpha``, ``omega`` (the stacked jet's ``J^T - J``) and the field of each
+    chart field in ``fields``."""
+    stack = frame_stack(chart, x)
+    alpha, jac = chart.alpha_kernel.jet_stack(x)
+    with np.errstate(all="ignore"):
+        omega = jac.transpose(0, 2, 1) - jac
+    want = [stack.fields(*(a[:, None] for a in f.jet_stack(x)))[:, 0] for f in fields]
+    for k, row in enumerate(x):
+        for frame in (frame_at(chart, row), ContactFrame(chart, row.tolist())):
+            assert same_bits(frame._sharp, stack.sharp[k]) and same_bits(frame.reeb, stack.reeb[k])
+            assert same_bits(frame.alpha, alpha[k]) and same_bits(frame.omega, omega[k])
+            for f, w in zip(fields, want):
+                assert same_bits(_field_components(frame, f), w[k]), (chart.id, k)
+
+
+def _frame_models():
+    yield from (primer(2, OMEGA, "2 + sin(phi2)", k, validate=False) for k in (0, 2))
+    for profile in ("sin(phi2)", "exp(sin(phi2))*cos(phi2)"):
+        model = primer2(2, OMEGA, profile, validate=False)
+        yield from (model, model.reduced)
+    yield canonical(2, validate=False)
+    yield unvalidated(helpers.CHART_SWITCH_CONFIG)
+
+
+def test_a_frame_is_its_row_of_the_stack_on_every_shipped_chart():
+    for model in _frame_models():
+        for chart in model.atlas.charts.values():
+            fields = [ChartField(chart, s.on(chart.id)) for s in model.sections
+                      if chart.id in s.local]
+            assert fields, chart.id
+            assert_frames_are_rows(
+                chart, models._chart_samples(chart, models.CONTACT_SAMPLES_PER_CHART), fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from(_ALPHAS),
+       rows=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                               st.floats(-2.0, 2.0) | st.sampled_from([-1.0, -0.0, 8.7e-57])),
+                     min_size=1, max_size=10))
+# Omega_10 = 0.0 - d(p1*q0)/dq0 is +0.0 at p1 = 0, where -d(p1*q0)/dq0 would be -0.0
+@example(alpha=["1", "p1*q0", "0"], rows=[(0.5, 0.5, 0.0)])
+def test_a_frame_is_its_row_of_the_stack_or_raises_what_the_row_raises(alpha, rows):
+    chart = _chart(alpha)
+    for row in np.array(rows):
+        try:
+            frame_stack(chart, row[None])
+        except ContactKitError as exc:
+            with pytest.raises(type(exc)) as err:
+                frame_at(chart, row)
+            assert str(err.value) == str(exc)
+            continue
+        assert_frames_are_rows(chart, row[None], [ChartField(chart, "q0*p1 + sin(q1)")])
 
 
 def _validation_samples():
