@@ -313,21 +313,16 @@ def flow(model, h, x0: Point, t_final: float,
     switches: list[ChartSwitch] = []
     next_sample = 1
 
-    def try_switch(wrapped: np.ndarray, current: float) -> bool:
-        """Move to the neighbour whose health at ``wrapped`` beats ``current``."""
+    def try_switch(x: np.ndarray, current: float) -> bool:
+        """Move to the neighbour whose health at the image of ``x`` beats ``current``."""
         nonlocal chart, y, k1
         best_score = current
         best = None
         for dst in atlas.neighbors(chart.id):
-            try:
-                z = atlas.map_coords(chart.id, dst, wrapped)
-            except (DomainError, OutOfAtlas):
-                continue
-            if not np.all(np.isfinite(z)):
-                continue
             dst_chart = atlas.charts[dst]
-            z = dst_chart.wrap(z)
-            if not dst_chart.contains(z):
+            try:
+                z = np.array(dst_chart.checked(atlas.map_coords(chart.id, dst, x)))
+            except (DomainError, OutOfAtlas, OutOfDomain):
                 continue
             score = _chart_health(dst_chart, z)
             if score > best_score * 1.1 + 1e-300:
@@ -376,7 +371,8 @@ def flow(model, h, x0: Point, t_final: float,
                 k[i] = rhs(chart, y + h_step * (_A[i] @ k[:i]))
             y1 = y + h_step * (_B @ k[:12])
             err = _error_norm(h_step, k[:12], atol + rtol * np.maximum(np.abs(y), np.abs(y1)))
-            if err <= 1.0 and chart.contains(end := chart.wrap(y1)):
+            if err <= 1.0:
+                end = np.array(chart.checked(y1))
                 k[12] = rhs(chart, y1)
                 # sample_times runs in the flow's direction, so this is monotone
                 stop = np.searchsorted(direction * (sample_times - t_new),
@@ -406,7 +402,7 @@ def flow(model, h, x0: Point, t_final: float,
                 h_abs = 0.5 * h_try
             if wedged or h_abs < 1e-14 * max(1.0, abs(t)):
                 # wedged against an obstruction; a chart change is the way out
-                if try_switch(chart.wrap(y), -np.inf):
+                if try_switch(y, -np.inf):
                     h_abs = 1e-6 * max(1.0, abs(t_final))
                     left_chart = False
                     continue
@@ -565,7 +561,7 @@ def loop_integral(chart: Chart, cycle: Cycle, subdivisions: int = 8,
     base_nodes, base_weights = np.polynomial.legendre.leggauss(nodes)
 
     def pairing(ts: np.ndarray) -> np.ndarray:
-        x = _check_domain(chart, chart.wrap(np.asarray(cycle.point(ts), dtype=float)))
+        x = _check_domain(chart, chart.wrap(cycle.point(ts)))
         a = chart.alpha_kernel.value_stack(x)
         return row_dot(a, np.asarray(cycle.velocity(ts), dtype=float))
 

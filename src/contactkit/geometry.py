@@ -3,14 +3,15 @@
 A :class:`Chart` is a coordinate cube of odd dimension ``2n + 1`` whose
 1-form is given per coordinate slot by an expression, ``alpha = sum_j
 a_j(x) dx_j``.  Periodic coordinates have period ``2 pi`` and are stored
-normalized to ``[0, 2 pi)`` on :class:`Point` construction.
+normalized to ``[0, 2 pi)`` on :class:`Point` construction.  Membership
+is one rule, stated and kept by :class:`Chart`: every domain test here calls
+:meth:`Chart.checked` for one point or :meth:`Chart.contains` for a stack.
 
 The operations here realize the pointwise structure of a cooriented
 contact chart: the 2-form ``d alpha`` as an antisymmetric matrix ``Omega``,
 the Reeb field (``alpha(Z) = 1`` and ``i_Z d alpha = 0``), the sharp
 isomorphism inverting ``X -> -i_X d alpha`` between horizontal fields and
-the annihilator of the Reeb direction, the splitting of a vector into Reeb
-and horizontal parts, and a sampled nondegeneracy check for
+the annihilator of the Reeb direction, and a sampled nondegeneracy check for
 ``alpha ^ (d alpha)^n != 0``.  That condition holds exactly where
 ``B = [[Omega, alpha^T], [alpha, 0]]`` is nonsingular, and a
 :class:`ContactFrame` inverts ``B`` once per point.  The inverse's last
@@ -19,10 +20,11 @@ column is the Reeb field; its leading block ``P`` maps ``eta`` to ``X`` with
 annihilator of ``Z``, and ``P alpha = 0``.
 
 :func:`frame_stack` builds the frames of a whole stack of points, one row
-each: the chart's stacked alpha jet, one stacked inverse of ``B`` and the
-condition gate applied per row.  A :class:`ContactFrame` takes the rows of
-``B`` at one point as Python floats from the chart's kernel and inverts it
-once; a point and a stack share ``B``, the gate and the bits.  A single formula
+each: per block of rows, the chart's stacked alpha jet, one stacked inverse
+of ``B`` and the condition gate applied per row.  A :class:`ContactFrame`
+takes the rows of ``B`` at one point as Python floats from the chart's
+kernel and inverts it once; a point and a stack share ``B``, the gate and
+the bits.  A single formula
 on a chart is a :class:`ChartField` (its value and jet, at a point or over
 a stack), compiled over the chart's coordinates as the contact form is.
 :func:`contact_check` reads the same ``B`` at a point or a stack:
@@ -95,10 +97,14 @@ class Chart:
     """One coordinate cube with its local contact form.
 
     ``bounds`` are open intervals per coordinate (ignored on periodic
-    axes, which always cover a full period).  ``sample_box`` bounds the
-    region used by sampled validation; it defaults to the domain clipped
-    to ``(-2, 2)``, or, where the domain misses that interval, to the
-    domain with its open side, if any, cut 4 from the finite end.
+    axes, which always cover a full period).  A point lies in the chart
+    when every angle is finite and every other coordinate lies strictly
+    inside its bound: :meth:`checked` decides this for one point on Python
+    floats, :meth:`contains` for each row of a stack.  ``sample_box``
+    bounds the region used by sampled validation; it defaults to the
+    domain clipped to ``(-2, 2)``, or, where the domain misses that
+    interval, to the domain with its open side, if any, cut 4 from the
+    finite end.
     ``denominator`` is an optional scalar expression whose decay signals
     that the chart is about to become invalid; the flow integrator uses it
     to decide when to change charts.
@@ -151,37 +157,32 @@ class Chart:
                         in enumerate(zip(self.bounds, self.periodic)) if not per)
         return periodic, bounded
 
-    # wrap and contains take one point, with scalar operations (the per-step
-    # hot path), or a stack of points, with one array operation per axis
+    # wrap and contains treat a point as one row of a stack, with one array
+    # operation per axis; checked is the one-point form on Python floats
 
     def wrap(self, coords) -> np.ndarray:
-        """Copy of ``coords`` with periodic axes normalized to [0, 2 pi)."""
+        """Copy of ``coords``, a point or a stack, with periodic axes
+        normalized to [0, 2 pi); a non-finite angle becomes NaN, which
+        lies outside the chart, without a numpy warning."""
         x = np.array(coords, dtype=float)
-        periodic = self._axes[0]
-        if x.ndim == 1:
-            for i in periodic:
-                r = x[i] % TWO_PI
-                # a tiny negative angle rounds up to exactly 2 pi
-                x[i] = 0.0 if r == TWO_PI else r
-            return x
-        r = x[:, periodic] % TWO_PI
+        rows, periodic = x.reshape(-1, self.dim), self._axes[0]  # rows: a view of x
+        with np.errstate(invalid="ignore"):
+            r = rows[:, periodic] % TWO_PI
+        # a tiny negative angle rounds up to exactly 2 pi
         r[r == TWO_PI] = 0.0
-        x[:, periodic] = r
+        rows[:, periodic] = r
         return x
 
-    def contains(self, coords):
-        """Whether the point lies in the domain; a boolean per row for a stack."""
+    def contains(self, coords) -> np.ndarray:
+        """Whether each row of ``coords`` lies in the domain, as
+        :meth:`checked` decides for that row alone; a 0-d array for a point."""
         x = np.asarray(coords, dtype=float)
-        bounded = self._axes[1]
-        if x.ndim == 1:
-            for i, lo, hi in bounded:
-                if not lo < x[i] < hi:
-                    return False
-            return True
-        inside = np.ones(len(x), dtype=bool)
+        rows = x.reshape(-1, self.dim)
+        periodic, bounded = self._axes
+        inside = np.isfinite(rows[:, periodic]).all(axis=1)
         for i, lo, hi in bounded:
-            inside &= (lo < x[:, i]) & (x[:, i] < hi)
-        return inside
+            inside &= (lo < rows[:, i]) & (rows[:, i] < hi)
+        return inside.reshape(x.shape[:-1])
 
     def checked(self, coords) -> list[float]:
         """The coordinates of one point as Python floats with the angles
@@ -245,13 +246,6 @@ class TangentVector:
     components: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CoVector:
-    chart: str
-    base: np.ndarray
-    components: np.ndarray
-
-
 def _floats(x) -> list[float]:
     return np.asarray(x, dtype=float).tolist()
 
@@ -298,24 +292,19 @@ def as_field(chart: Chart, f: FieldLike):
 
 
 def _check_domain(chart: Chart, x) -> np.ndarray:
-    """``x`` as floats; a stack raises for its first row outside the chart."""
+    """``x`` as floats, or ``OutOfDomain``: a point is tested by
+    :meth:`Chart.checked`, a stack by :meth:`Chart.contains`, raising for
+    its first row outside the chart."""
     x = np.asarray(x, dtype=float)
-    inside = chart.contains(x)
     if x.ndim == 1:
-        if not inside:
-            raise OutOfDomain(chart.id, x)
-    elif not inside.all():
+        chart.checked(x)
+    elif not (inside := chart.contains(x)).all():
         raise OutOfDomain(chart.id, x[np.argmin(inside)])
     return x
 
 
 def alpha_components(chart: Chart, x) -> np.ndarray:
     return np.array(chart.alpha_kernel.value(*_floats(x)))
-
-
-def alpha_at(chart: Chart, x) -> CoVector:
-    x = _check_domain(chart, x)
-    return CoVector(chart.id, x, alpha_components(chart, x))
 
 
 def dalpha_matrix(chart: Chart, x) -> np.ndarray:
@@ -439,15 +428,19 @@ class FrameStack(NamedTuple):
 
 def frame_stack(chart: Chart, x) -> FrameStack:
     """Frames at the rows of an ``(N, dim)`` stack from one stacked alpha jet
-    and one stacked bordered inverse; raises like :func:`frame_at` on the
-    first row that fails."""
-    x = _check_domain(chart, x)
-    alpha, jac = chart.alpha_kernel.jet_stack(x)
-    # a B that overflows fails the gate, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, inv, cond = _bordered(alpha, jac.transpose(0, 2, 1) - jac)
+    and one stacked bordered inverse per block of rows; raises what
+    :func:`frame_at` raises on the first row that fails."""
     d = chart.dim
-    _gate(cond, d + 1)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        alpha, jac = chart.alpha_kernel.jet_stack(_check_domain(chart, x))
+        # a B that overflows fails the gate, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, inv, cond = _bordered(alpha, jac.transpose(0, 2, 1) - jac)
+        _gate(cond, d + 1)
+        return inv
+
+    inv = np.concatenate(_by_blocks(run, np.asarray(x, dtype=float)))
     return FrameStack(inv[:, :d, :d], inv[:, :d, d])
 
 
@@ -458,17 +451,7 @@ def reeb_at(chart: Chart, x) -> TangentVector:
 
 def sharp(chart: Chart, x, eta) -> TangentVector:
     fr = frame_at(chart, x)
-    components = eta.components if isinstance(eta, CoVector) else np.asarray(eta, dtype=float)
-    return TangentVector(chart.id, fr.x, fr.sharp(components))
-
-
-def decompose_vector(chart: Chart, x, v) -> tuple[float, TangentVector]:
-    """Split ``v`` as ``alpha(v) * Z + horizontal``."""
-    fr = frame_at(chart, x)
-    components = v.components if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    along = float(fr.alpha @ components)
-    horizontal = components - along * fr.reeb
-    return along, TangentVector(chart.id, fr.x, horizontal)
+    return TangentVector(chart.id, fr.x, fr.sharp(eta))
 
 
 @dataclass(frozen=True)

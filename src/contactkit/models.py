@@ -586,16 +586,15 @@ def _build_chart(spec: Mapping, path: str) -> Chart:
 
 def _auto_overlap_samples(atlas_charts: Mapping[str, Chart], ov: Overlap) -> tuple:
     """The first ``OVERLAP_SAMPLES`` of ``8 * OVERLAP_SAMPLES`` points of the
-    source sample box whose image is finite and inside the destination
-    chart, in probe order; a point whose image raises is left out."""
+    source sample box whose image lies in the destination chart, in probe
+    order; a point whose image raises is left out."""
     src = atlas_charts[ov.src]
     dst = atlas_charts[ov.dst]
     forward = compiled(ov.forward, src.names)
 
     def inside(x: np.ndarray) -> np.ndarray:
-        # membership reads only the bounded axes, so the angles need no wrap
-        y = forward.value_stack(x)
-        return x[np.isfinite(y).all(axis=1) & dst.contains(y)]
+        # membership reads only whether an angle is finite, so the angles need no wrap
+        return x[dst.contains(forward.value_stack(x))]
 
     kept = _by_blocks(inside, _chart_samples(src, OVERLAP_SAMPLES * 8), skip=(ContactKitError,))
     return tuple(x for part in kept for x in part)[:OVERLAP_SAMPLES]

@@ -1,13 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contactkit import expr
+from contactkit.bundle import classify
+from contactkit.dynamics import Cycle, loop_integral
 from contactkit.expr import DomainError, UnboundName, parse
-from contactkit.geometry import (Chart, ChartField, NotInZ0, OutOfDomain, alpha_at,
-                                 contact_check, dalpha_at, decompose_vector,
-                                 frame_at, reeb_at, sharp)
-from contactkit.models import primer
+from contactkit.geometry import (Chart, ChartField, NotInZ0, OutOfDomain, Point, alpha_components,
+                                 contact_check, dalpha_at, frame_at, frame_stack, reeb_at, sharp)
+from contactkit.models import canonical, from_config, primer, primer2
 from contactkit.numkernel import SingularSystem
 from helpers import (canonical_chart, normal_form_chart, random_expression, random_polynomial,
                      reference_eval, reference_gradient)
@@ -21,14 +24,14 @@ def primer_model():
 def test_alpha_canonical():
     chart = canonical_chart(2)
     x = np.array([0.5, 0.1, -0.7, 1.3, 0.4])
-    assert np.allclose(alpha_at(chart, x).components, [1.0, 1.3, 0.4, 0.0, 0.0])
+    assert np.allclose(alpha_components(chart, x), [1.0, 1.3, 0.4, 0.0, 0.0])
 
 
 def test_alpha_projective_charts(primer_model):
     for i, cid in enumerate(primer_model.atlas.chart_ids):
         chart = primer_model.atlas.chart(cid)
         x = np.array([0.3, 1.1, 2.2, 0.8, -0.4])
-        a = alpha_at(chart, x).components
+        a = alpha_components(chart, x)
         assert a[i] == 1.0                      # the unit ratio slot
         assert np.allclose(a[3:], 0.0)          # nothing on the ratio slots
 
@@ -36,7 +39,7 @@ def test_alpha_projective_charts(primer_model):
 def test_alpha_normal_form_chart():
     chart = normal_form_chart()
     x = np.array([0.4, 5.0, 1.7, -0.3, 0.9])
-    assert np.allclose(alpha_at(chart, x).components, [3.0, 1.7, 0.0, 0.9, 0.0])
+    assert np.allclose(alpha_components(chart, x), [3.0, 1.7, 0.0, 0.9, 0.0])
 
 
 def test_dalpha_canonical():
@@ -152,31 +155,38 @@ def test_sharp_inverts_flat():
         assert np.max(np.abs(eta - fr.omega @ v)) < 1e-12
 
 
+def _decompose(chart, x, v):
+    """``v`` split by the frame at ``x`` as ``alpha(v) * Z + horizontal``."""
+    fr = frame_at(chart, x)
+    along = float(fr.alpha @ v)
+    return along, v - along * fr.reeb
+
+
 def test_decompose_reeb():
     chart = canonical_chart(2)
     x = np.array([0.7, -0.3, 0.2, 1.1, 0.9])
     fr = frame_at(chart, x)
-    along, horizontal = decompose_vector(chart, x, fr.reeb)
+    along, horizontal = _decompose(chart, x, fr.reeb)
     assert along == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(horizontal.components) < 1e-12
+    assert np.linalg.norm(horizontal) < 1e-12
 
 
 def test_decompose_horizontal_vector():
     chart = canonical_chart(1)
     x = np.array([0.0, 0.0, 0.7])
     v = np.array([-0.7, 1.0, 0.0])               # alpha(v) = -0.7 + 0.7 = 0
-    along, horizontal = decompose_vector(chart, x, v)
+    along, horizontal = _decompose(chart, x, v)
     assert abs(along) < 1e-14
-    assert np.allclose(horizontal.components, v)
+    assert np.allclose(horizontal, v)
 
 
 def test_decompose_coordinate_direction():
     chart = canonical_chart(2)
     x = np.array([0.0, 0.0, 0.0, 0.8, -0.1])
     v = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    along, horizontal = decompose_vector(chart, x, v)
+    along, horizontal = _decompose(chart, x, v)
     assert along == pytest.approx(0.8)
-    assert np.allclose(horizontal.components, [-0.8, 1, 0, 0, 0])
+    assert np.allclose(horizontal, [-0.8, 1, 0, 0, 0])
 
 
 def test_decompose_reconstructs():
@@ -185,10 +195,10 @@ def test_decompose_reconstructs():
     for _ in range(50):
         x = rng.uniform(-2, 2, 5)
         v = rng.uniform(-2, 2, 5)
-        along, horizontal = decompose_vector(chart, x, v)
+        along, horizontal = _decompose(chart, x, v)
         fr = frame_at(chart, x)
-        assert np.linalg.norm(along * fr.reeb + horizontal.components - v) < 1e-12
-        assert abs(fr.alpha @ horizontal.components) < 1e-12
+        assert np.linalg.norm(along * fr.reeb + horizontal - v) < 1e-12
+        assert abs(fr.alpha @ horizontal) < 1e-12
 
 
 def test_contact_check_canonical_unit_determinant():
@@ -268,7 +278,7 @@ def test_point_outside_domain():
     with pytest.raises(OutOfDomain):
         chart.point(np.array([0.0, 1.5, 0.0]))
     with pytest.raises(OutOfDomain):
-        alpha_at(chart, np.array([0.0, 0.0, 2.0]))
+        dalpha_at(chart, np.array([0.0, 0.0, 2.0]))
 
 
 def test_a_stack_row_on_a_finite_bound_lies_outside_as_one_point_does():
@@ -284,16 +294,122 @@ def test_a_stack_row_on_a_finite_bound_lies_outside_as_one_point_does():
     assert [chart.contains(row) for row in rows] == want
 
 
+@pytest.fixture(scope="module")
+def membership_charts():
+    """Every chart of primer(2), primer2(2), its reduced view, canonical(2) and
+    the chart-switch config, and a chart with one-sided domains."""
+    inf = np.inf
+    lifted = primer2(2, (1.0, np.sqrt(2.0)), "sin(phi2)")
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "chart_switch.yaml"
+    models = [primer(2, (1.0, np.sqrt(2.0)), "2 + sin(phi2)", k=0), lifted, lifted.reduced,
+              canonical(2), from_config(config)]
+    one_sided = Chart("one-sided", ("u0", "u1", "phi", "u3", "u4"), (expr.literal(0.0),) * 5,
+                      (False, False, True, False, False),
+                      ((-inf, -5.0), (3.0, inf), (-inf, inf), (-1e6, 1e6), (-inf, inf)))
+    return [m.atlas.chart(cid) for m in models for cid in m.atlas.chart_ids] + [one_sided]
+
+
+def _edge_values(chart: Chart, axis: int) -> list[float]:
+    """Each finite bound of an axis and one ulp either side of it, signed
+    zeros, non-finite values, and angles far outside one turn."""
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300,
+              2 * np.pi, -2 * np.pi, 7.5e6, -3.1e9, 1e300, -1e300]
+    for bound in chart.bounds[axis]:
+        if np.isfinite(bound):
+            values += [bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]
+    return values
+
+
+def _rows(chart: Chart):
+    axis_values = [st.one_of(st.sampled_from(_edge_values(chart, i)), st.floats())
+                   for i in range(chart.dim)]
+    return st.lists(st.tuples(*axis_values), min_size=1, max_size=6).map(np.array)
+
+
+def _bits(x) -> list[int]:
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_contains_and_wrap_of_a_stack_are_checked_row_by_row(membership_charts, data):
+    """One membership rule: a row of a stack is inside exactly where
+    ``checked`` returns for it alone, and the wrapped row is what ``checked``
+    returns, bit for bit, and what wrapping the row alone gives."""
+    chart = data.draw(st.sampled_from(membership_charts))
+    rows = data.draw(_rows(chart))
+    inside = chart.contains(rows)
+    wrapped = chart.wrap(rows)
+    alone = [chart.wrap(row) for row in rows]
+    assert inside.shape == (len(rows),)
+    for k, row in enumerate(rows):
+        assert bool(chart.contains(row)) == inside[k]
+        assert _bits(alone[k]) == _bits(wrapped[k])
+        try:
+            got = chart.checked(row)
+        except OutOfDomain:
+            assert not inside[k]
+            continue
+        assert inside[k]
+        assert _bits(got) == _bits(wrapped[k])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("axis", [0, 3])
 def test_a_non_finite_coordinate_lies_outside_every_chart(primer_model, value, axis):
-    # axis 0 is an angle, axis 3 a bounded ratio
+    # axis 0 is an angle, axis 3 a bounded ratio; a point and each stack hold
+    # the coordinate in their second row, after an inside one
     chart = primer_model.atlas.chart("V0")
-    coords = np.array([0.0, 0.0, 1.0, 0.7, -1.3])
+    good = np.array([0.0, 0.0, 1.0, 0.7, -1.3])
+    coords = good.copy()
     coords[axis] = value
+    stack = np.array([good, coords])
+    assert not chart.contains(coords)
+    assert chart.contains(stack).tolist() == [True, False]
+    for call in (chart.point, lambda x: frame_at(chart, x),
+                 lambda x: contact_check(chart, x)):
+        with pytest.raises(OutOfDomain):
+            call(coords)
+    for call in (lambda x: frame_stack(chart, x), lambda x: contact_check(chart, x),
+                 lambda x: classify(primer_model.atlas, primer_model.sections, primer_model.r,
+                                    Point(chart.id, x))):
+        with pytest.raises(OutOfDomain):
+            call(stack)
+
+    # a closed loop along phi1 that passes through the coordinate between its ends
+    unit = np.zeros(5)
+    unit[1] = 2 * np.pi
+
+    def point(s):
+        rows = good + np.multiply.outer(s, unit)
+        rows[(0.0 < s) & (s < 1.0), axis] = value
+        return rows
+
     with pytest.raises(OutOfDomain):
-        chart.point(coords)
+        loop_integral(chart, Cycle(point, lambda s: np.tile(unit, (len(s), 1))))
+
+
+def test_a_stack_raises_what_its_first_failing_row_raises_alone():
+    """The first row is degenerate (alpha ^ d alpha = 0 at q0 = 0) and the
+    last lies outside the chart: the stack raises the first row's error."""
+    names = ("q0", "q1", "p1")
+    chart = Chart("W", names,
+                  (expr.literal(1.0), parse("p1*q0"), expr.literal(0.0)),
+                  (False,) * 3, ((-1.0, 1.0),) * 3)
+    rows = np.array([[0.0, 0.1, 0.1], [0.5, 0.1, 0.1], [2.0, 0.1, 0.1]])
+    with pytest.raises(SingularSystem):
+        frame_at(chart, rows[0])
+    frame_at(chart, rows[1])
+    with pytest.raises(OutOfDomain):
+        frame_at(chart, rows[2])
+    with pytest.raises(SingularSystem):
+        frame_stack(chart, rows)
+    with pytest.raises(SingularSystem):
+        frame_stack(chart, rows[:2])
+    with pytest.raises(OutOfDomain):
+        frame_stack(chart, rows[1:])
 
 
 def test_default_sample_box_is_finite_on_a_one_sided_domain(primer_model):
